@@ -9,7 +9,7 @@ graph of :mod:`repro.core.kernels`:
   its validation pass, for each engine);
 * **batch** — the pipelined batch scheduler at ``--batch`` inferences,
   measured symmetrically to the single-image workload: each engine's
-  scheduler plus its validator (``validate_batch_schedule`` for the
+  scheduler plus its validator (``assert_batch_schedule`` for the
   reference, the vectorized array checks for the kernels).
 
 Methodology: every (workload, engine) measurement runs in a **fresh
@@ -91,10 +91,9 @@ def run_worker(spec: dict) -> None:
         cross_layer_schedule_dynamic,
         csr_batch_schedule,
         csr_dynamic_schedule,
-        validate_batch_schedule,
-        validate_schedule,
     )
     from repro.core.kernels import _build_arrays
+    from repro.verify import assert_batch_schedule, assert_schedule
 
     compiled = _compile(spec["model"])
     dependencies = compiled.dependencies
@@ -120,7 +119,7 @@ def run_worker(spec: dict) -> None:
             )
     else:
         if spec["workload"] == "single":
-            fn = lambda: validate_schedule(  # noqa: E731
+            fn = lambda: assert_schedule(  # noqa: E731
                 cross_layer_schedule_dynamic(mapped, dependencies), dependencies
             )
         else:
@@ -129,7 +128,7 @@ def run_worker(spec: dict) -> None:
                 result_batch = cross_layer_schedule_batch(
                     mapped, dependencies, batch_size, engine="python"
                 )
-                validate_batch_schedule(result_batch, dependencies)
+                assert_batch_schedule(result_batch, dependencies)
 
     result["seconds"] = best_of(fn, repeats)
     print(json.dumps(result))

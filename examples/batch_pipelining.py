@@ -12,9 +12,10 @@ Run:  python examples/batch_pipelining.py
 
 from repro import ScheduleOptions, compile_model, paper_case_study, preprocess
 from repro.analysis import format_table
-from repro.core import cross_layer_schedule_batch, validate_batch_schedule
+from repro.core import cross_layer_schedule_batch
 from repro.models import CASE_STUDY
 from repro.sim import estimate_energy
+from repro.verify import assert_batch_schedule
 
 
 def main():
@@ -42,7 +43,7 @@ def main():
         result = cross_layer_schedule_batch(
             compiled.mapped, compiled.dependencies, batch_size
         )
-        validate_batch_schedule(result, compiled.dependencies)
+        assert_batch_schedule(result, compiled.dependencies)
         utilization = (
             batch_size * busy_per_image / (arch.num_pes * result.makespan)
         )

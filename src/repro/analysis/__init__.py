@@ -18,16 +18,10 @@ from .report import (
 from .sweep import (
     PAPER_XS,
     ConfigPoint,
-    EvalTask,
     FailedPoint,
-    SweepExecutor,
     SweepResult,
     SweepTask,
-    TaskEval,
     benchmark_sweep,
-    evaluate_eval_task,
-    evaluate_task,
-    evaluate_task_full,
     grid_tasks,
     sweep_all,
 )
@@ -37,17 +31,11 @@ __all__ = [
     "CSV_HEADER",
     "ConfigPoint",
     "CriticalStep",
-    "EvalTask",
     "FailedPoint",
     "PAPER_XS",
-    "SweepExecutor",
     "SweepResult",
     "SweepTask",
-    "TaskEval",
     "benchmark_sweep",
-    "evaluate_eval_task",
-    "evaluate_task",
-    "evaluate_task_full",
     "grid_tasks",
     "critical_layer_summary",
     "critical_path",

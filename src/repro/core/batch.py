@@ -183,21 +183,3 @@ def cross_layer_schedule_batch(
 
         assert_batch_schedule(result, dependency_graph)
     return result
-
-
-def validate_batch_schedule(
-    result: BatchScheduleResult, dependency_graph: DependencyGraph
-) -> None:
-    """Deprecated shim over :func:`repro.verify.assert_batch_schedule`.
-
-    Resource exclusivity and per-image data dependencies are now
-    asserted by the unified static verifier.
-    """
-    from ..exec.runtime import warn_deprecated
-    from ..verify.hazards import assert_batch_schedule
-
-    warn_deprecated(
-        "core.batch.validate_batch_schedule",
-        "repro.verify.assert_batch_schedule (or Session.verify)",
-    )
-    assert_batch_schedule(result, dependency_graph)

@@ -149,22 +149,3 @@ def cross_layer_schedule_dynamic(
             "the set dependency graph is cyclic or disconnected"
         )
     return schedule
-
-
-def validate_schedule(
-    schedule: Schedule, dependency_graph: DependencyGraph
-) -> None:
-    """Deprecated shim over :func:`repro.verify.assert_schedule`.
-
-    The data/resource dependency assertions now live in the unified
-    static verifier with the same ``AssertionError`` messages and
-    check order (intra-layer order first).
-    """
-    from ..exec.runtime import warn_deprecated
-    from ..verify.hazards import assert_schedule
-
-    warn_deprecated(
-        "core.cross_layer.validate_schedule",
-        "repro.verify.assert_schedule (or Session.verify)",
-    )
-    assert_schedule(schedule, dependency_graph)

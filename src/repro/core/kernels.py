@@ -265,25 +265,6 @@ def _columns_from(
     )
 
 
-def validate_arrays_schedule(
-    arrays: SetGraphArrays, start: np.ndarray, end: np.ndarray
-) -> None:
-    """Deprecated shim over :func:`repro.verify.assert_arrays_schedule`.
-
-    The vectorized single-image checks (data dependencies, layer
-    exclusivity) now live in the unified static verifier with the same
-    ``AssertionError`` messages.
-    """
-    from ..exec.runtime import warn_deprecated
-    from ..verify.hazards import assert_arrays_schedule
-
-    warn_deprecated(
-        "core.kernels.validate_arrays_schedule",
-        "repro.verify.assert_arrays_schedule (or Session.verify)",
-    )
-    assert_arrays_schedule(arrays, start, end)
-
-
 # ---------------------------------------------------------------------------
 # Stage IV: static (fixed Stage III order) scheduler
 # ---------------------------------------------------------------------------
@@ -670,28 +651,6 @@ def csr_batch_schedule(
     )
     name = policy if policy is not None else f"clsa-cim-batch{batch_size}"
     return Schedule(policy=name, columns=columns), spans
-
-
-def validate_batch_arrays_schedule(
-    arrays: SetGraphArrays,
-    batch_size: int,
-    start: np.ndarray,
-    end: np.ndarray,
-) -> None:
-    """Deprecated shim over :func:`repro.verify.assert_batch_arrays_schedule`.
-
-    The vectorized batch checks now live in the unified static
-    verifier with the same ``AssertionError`` messages.
-    """
-    from ..exec.runtime import warn_deprecated
-    from ..verify.hazards import assert_batch_arrays_schedule
-
-    warn_deprecated(
-        "core.kernels.validate_batch_arrays_schedule",
-        "repro.verify.assert_batch_arrays_schedule (or Session.verify)",
-    )
-    assert_batch_arrays_schedule(arrays, batch_size, start, end)
-
 
 # ---------------------------------------------------------------------------
 # simulator replay (zero-cost path)

@@ -427,7 +427,7 @@ def schedule_stage(
         if options.engine == "csr":
             # The columnar kernels self-validate with vectorized
             # dependency/resource checks (same invariants as
-            # validate_schedule, no per-set Python objects).
+            # repro.verify.assert_schedule, no per-set Python objects).
             arrays = set_graph_arrays(dependencies)
             if options.order_mode == "dynamic":
                 return csr_dynamic_schedule(arrays)

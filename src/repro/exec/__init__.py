@@ -55,12 +55,7 @@ from .resilience import (
     current_deadline,
     deadline_scope,
 )
-from .runtime import (
-    JobRuntime,
-    execute_job,
-    reset_deprecation_warnings,
-    warn_deprecated,
-)
+from .runtime import JobRuntime, execute_job
 
 __all__ = [
     "CompileJob",
@@ -96,8 +91,6 @@ __all__ = [
     "job_key",
     "make_executor",
     "register_executor",
-    "reset_deprecation_warnings",
     "resolve_executor",
     "unregister_executor",
-    "warn_deprecated",
 ]

@@ -25,7 +25,7 @@ Three builtin backends share one submission surface:
 Third-party backends (remote, sharded...) plug in through
 :func:`register_executor` and become addressable by name everywhere an
 executor is accepted — ``Session(..., executor="mybackend")``, the CLI
-``--executor`` flag, and :class:`repro.analysis.sweep.SweepExecutor`.
+``--executor`` flag, and :func:`repro.analysis.sweep.benchmark_sweep`.
 """
 
 from __future__ import annotations
@@ -398,7 +398,7 @@ def make_executor(
 
     ``None`` resolves to ``process`` when ``jobs`` asks for parallelism
     (>1 workers, or ``None`` meaning one per CPU) and ``inline``
-    otherwise — the historical ``SweepExecutor(jobs=...)`` semantics.
+    otherwise.
     Instances pass through unchanged.
     """
     if spec is None:
@@ -420,13 +420,6 @@ def make_executor(
 resolve_executor = make_executor
 
 
-def _make_async(jobs: Optional[int]) -> Executor:
-    # Imported lazily: repro.service depends on this module.
-    from ..service.async_executor import AsyncExecutor
-
-    return AsyncExecutor(jobs)
-
-
 def _make_remote(jobs: Optional[int]) -> Executor:
     # Reads $REPRO_SERVER_URL; raises ValueError without a server URL.
     from ..service.client import RemoteExecutor
@@ -437,5 +430,4 @@ def _make_remote(jobs: Optional[int]) -> Executor:
 register_executor("inline", lambda jobs: InlineExecutor())
 register_executor("thread", lambda jobs: ThreadExecutor(jobs))
 register_executor("process", lambda jobs: ProcessExecutor(jobs))
-register_executor("async", _make_async)
 register_executor("remote", _make_remote)

@@ -67,12 +67,7 @@ from .resilience import (
 )
 from .worker import DIRECT, run_job
 
-__all__ = [
-    "JobRuntime",
-    "execute_job",
-    "reset_deprecation_warnings",
-    "warn_deprecated",
-]
+__all__ = ["JobRuntime", "execute_job"]
 
 #: Driver loop granularity: tight when a watchdog or fault plan needs
 #: prompt reactions, relaxed otherwise.
@@ -1231,26 +1226,3 @@ class JobRuntime:
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.close()
 
-
-# ---------------------------------------------------------------------------
-# deprecation bookkeeping (shared by the legacy sweep/explore shims)
-# ---------------------------------------------------------------------------
-
-_DEPRECATION_SEEN: set[str] = set()
-
-
-def warn_deprecated(entry: str, replacement: str) -> None:
-    """Emit one :class:`DeprecationWarning` per entry point per process."""
-    if entry in _DEPRECATION_SEEN:
-        return
-    _DEPRECATION_SEEN.add(entry)
-    warnings.warn(
-        f"{entry} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecations already fired (test helper)."""
-    _DEPRECATION_SEEN.clear()

@@ -2,7 +2,7 @@
 
 A point is a flat dict over the search-space dimensions.  The
 :class:`PointEvaluator` owns the translation into compilable form —
-an :class:`~repro.analysis.sweep.EvalTask` carrying a concrete
+an :class:`~repro.exec.jobs.EvaluateJob` carrying a concrete
 :class:`~repro.arch.config.ArchitectureConfig` (the PE budget is the
 model's crossbar-dependent minimum plus the point's ``extra_pes``) and
 :class:`~repro.core.pipeline.ScheduleOptions` — plus the fingerprint
@@ -29,12 +29,12 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
-from ..analysis.sweep import EvalTask, TaskEval
 from ..arch.config import ArchitectureConfig
 from ..arch.presets import paper_case_study
 from ..core.cache import CompilationCache
 from ..core.pipeline import ScheduleOptions
 from ..core.sets import SetGranularity
+from ..exec.jobs import EvaluateJob, Evaluation
 from ..ir.graph import Graph
 from ..mapping.tiling import minimum_pe_requirement
 from .space import SearchSpace
@@ -126,6 +126,10 @@ class PointEvaluator:
         it are infeasible (journalled, never compiled).
     """
 
+    #: Name the jobs of :meth:`task_for` give the canonical graph; the
+    #: runtime resolves it (or ships it to process workers once).
+    graph_name = "explore"
+
     def __init__(
         self,
         canonical: Graph,
@@ -200,13 +204,15 @@ class PointEvaluator:
     def fingerprint(self, point: Mapping[str, Any], fidelity: str = FULL) -> str:
         return point_fingerprint(self.graph_fingerprint, point, fidelity)
 
-    def task_for(self, point: Mapping[str, Any], fidelity: str = FULL) -> EvalTask:
-        """The executor task evaluating ``point`` at ``fidelity``."""
-        return EvalTask(
-            key=self.fingerprint(point, fidelity),
+    def task_for(self, point: Mapping[str, Any], fidelity: str = FULL) -> EvaluateJob:
+        """The job evaluating ``point`` at ``fidelity``, keyed by fingerprint."""
+        return EvaluateJob(
+            graph=self.graph_name,
             arch=self.arch_for(point),
             options=self.options_for(point, fidelity),
+            assume_canonical=True,
             want_energy=fidelity == FULL,
+            key=self.fingerprint(point, fidelity),
         )
 
     # -- feasibility ---------------------------------------------------
@@ -231,7 +237,7 @@ class PointEvaluator:
         self,
         point: Mapping[str, Any],
         fidelity: str,
-        evaluation: TaskEval,
+        evaluation: Evaluation,
     ) -> EvaluationResult:
         """Package a compile outcome into a journallable result."""
         metrics = evaluation.metrics

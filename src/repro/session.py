@@ -696,7 +696,6 @@ class Session:
             retry=self._retry,
             job_timeout=self._job_timeout,
             fault_plan=self._fault_plan,
-            _internal=True,
         )
         return explorer.run()
 

@@ -590,10 +590,8 @@ def assert_arrays_schedule(
 ) -> None:
     """Vectorized single-image schedule assertion.
 
-    The canonical form of the historical
-    ``core.kernels.validate_arrays_schedule``: every data dependency's
-    producer ends before its consumer starts, and sets of one layer
-    never overlap — raising ``AssertionError`` with the same messages.
+    Every data dependency's producer ends before its consumer starts,
+    and sets of one layer never overlap; raises ``AssertionError``.
     """
     from ..core.schedule import check_layer_exclusivity
 
@@ -656,10 +654,8 @@ def assert_batch_arrays_schedule(
 def assert_schedule(schedule: "Schedule", dependency_graph: "DependencyGraph") -> None:
     """Assert a row-form schedule against its dependency graph.
 
-    The canonical form of the historical
-    ``core.cross_layer.validate_schedule``: intra-layer order first
-    (same "resource violation" message), then missing sets, then data
-    dependencies — all with the original message formats.
+    Intra-layer order first ("resource violation"), then missing
+    sets, then data dependencies; raises ``AssertionError``.
     """
     schedule.validate_intra_layer_order()
     end_of = {
@@ -684,10 +680,8 @@ def assert_batch_schedule(
 ) -> None:
     """Assert a batch schedule: exclusivity plus per-image dependencies.
 
-    The canonical form of the historical
-    ``core.batch.validate_batch_schedule``, rebuilt on the vectorized
-    checks: resource exclusivity first, then the per-image dependency
-    sweep over the flat gid space.
+    Built on the vectorized checks: resource exclusivity first, then
+    the per-image dependency sweep over the flat gid space.
     """
     from ..core.kernels import set_graph_arrays
 

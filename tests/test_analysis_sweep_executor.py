@@ -1,19 +1,26 @@
-"""Tests for the staged/cached/parallel sweep engine."""
+"""Tests for the staged/cached/parallel sweep engine.
+
+The grid runs through ``Session.sweep``/``Session.map(SweepJob)`` and
+the one-call ``benchmark_sweep``/``sweep_all`` helpers; arbitrary
+points run as ``EvaluateJob`` streams through ``Session.map``.
+"""
 
 import warnings
+from dataclasses import replace as dc_replace
 
 import pytest
 
+from repro import Session
 from repro.analysis.sweep import (
-    SweepExecutor,
     SweepTask,
     benchmark_sweep,
-    evaluate_task,
+    grid_job,
     grid_tasks,
     sweep_all,
 )
-from repro.arch import CrossbarSpec
-from repro.core import SetGranularity
+from repro.arch import CrossbarSpec, paper_case_study
+from repro.core import CompilationCache, ScheduleOptions, SetGranularity
+from repro.exec import EvaluateJob, ProcessExecutor, SweepJob
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import BenchmarkSpec, tiny_dual_head, tiny_sequential
@@ -52,9 +59,13 @@ class TestGrid:
     def test_evaluate_task_matches_direct_compile(self):
         spec, graph = small_spec()
         task = SweepTask(spec.name, "xinf", "none", "clsa-cim", 0, spec.min_pes)
-        metrics = evaluate_task(graph, task, COARSE)
+        job = dc_replace(grid_job(task, COARSE), graph=graph)
+        (result,) = Session(paper_case_study(1)).map(job)
+        metrics = result.unwrap().metrics
         assert metrics.config_name == "xinf"
         assert metrics.latency_cycles > 0
+        direct = Session(job.arch).evaluate(graph, job.options, assume_canonical=True)
+        assert metrics == direct
 
 
 class TestExecutor:
@@ -78,11 +89,11 @@ class TestExecutor:
 
     def test_streaming_yields_baseline_first(self):
         spec, graph = small_spec()
-        executor = SweepExecutor()
+        job = SweepJob((spec,), xs=(2,), options_overrides=COARSE,
+                       graphs={spec.name: graph})
         labels = [
-            p.config
-            for p in executor.iter_points([spec], xs=(2,), graphs={spec.name: graph},
-                                          options_overrides=COARSE)
+            result.unwrap().config
+            for result in Session(paper_case_study(1)).map(job, ordered=False)
         ]
         assert labels[0] == "layer-by-layer"
         assert set(labels[1:]) == {"xinf", "wdup", "wdup+xinf"}
@@ -100,12 +111,13 @@ class TestExecutor:
 
     def test_executor_cache_persists_across_runs(self):
         spec, graph = small_spec()
-        executor = SweepExecutor()
-        executor.run(spec, xs=(2,), graph=graph, options_overrides=COARSE)
-        cache = executor.cache_for(spec.name)
-        misses_after_first = cache.misses
-        executor.run(spec, xs=(2,), graph=graph, options_overrides=COARSE)
-        assert cache.misses == misses_after_first  # second run: all hits
+        session = Session(paper_case_study(1))
+        session.sweep([spec], xs=(2,), graphs={spec.name: graph},
+                      options_overrides=COARSE)
+        misses_after_first = session.cache.misses
+        session.sweep([spec], xs=(2,), graphs={spec.name: graph},
+                      options_overrides=COARSE)
+        assert session.cache.misses == misses_after_first  # second run: all hits
 
     def test_duplicate_specs_evaluated_once(self):
         spec, graph = small_spec()
@@ -137,9 +149,7 @@ class TestExecutor:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(
-            "repro.analysis.sweep.futures.ProcessPoolExecutor", SubmitBrokenPool
-        )
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SubmitBrokenPool)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = benchmark_sweep(spec, xs=(2,), graph=graph,
@@ -155,9 +165,7 @@ class TestExecutor:
         def broken_pool(*args, **kwargs):
             raise OSError("no process pool in this sandbox")
 
-        monkeypatch.setattr(
-            "repro.analysis.sweep.futures.ProcessPoolExecutor", broken_pool
-        )
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", broken_pool)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = benchmark_sweep(spec, xs=(2,), graph=graph,
@@ -168,8 +176,11 @@ class TestExecutor:
         assert numbers(result) == numbers(serial)
 
     def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(jobs=0)
+        spec, graph = small_spec()
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            benchmark_sweep(spec, xs=(2,), graph=graph, jobs=0)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sweep_all([spec], xs=(2,), graphs={spec.name: graph}, jobs=0)
 
     def test_wrong_min_pes_detected(self):
         spec, graph = small_spec()
@@ -183,12 +194,18 @@ class TestStreamingEarlyExit:
     def test_abandoning_parallel_stream_returns_promptly(self):
         """Closing the generator mid-stream must not block on the grid."""
         spec, graph = small_spec()
-        executor = SweepExecutor(jobs=2)
-        stream = executor.iter_points([spec], xs=(2, 4), graphs={spec.name: graph},
-                                      options_overrides=COARSE)
-        first = next(stream)
-        assert first.config == "layer-by-layer"
-        stream.close()  # would hang without cancel_futures on shutdown
+        job = SweepJob((spec,), xs=(2, 4), options_overrides=COARSE,
+                       graphs={spec.name: graph})
+        backend = ProcessExecutor(2)
+        try:
+            stream = Session(paper_case_study(1), executor=backend).map(
+                job, ordered=False
+            )
+            first = next(stream)
+            assert first.unwrap().config == "layer-by-layer"
+            stream.close()  # would hang without cancel_futures on shutdown
+        finally:
+            backend.shutdown(wait=False, cancel_futures=True)
 
 
 class TestEnergyInSweepResults:
@@ -214,8 +231,6 @@ class TestEnergyInSweepResults:
         spec, graph = small_spec()
         result = benchmark_sweep(spec, xs=(2,), graph=graph,
                                  options_overrides=COARSE)
-        from dataclasses import replace as dc_replace
-
         result.points = [dc_replace(p, energy_uj=None) for p in result.points]
         with pytest.raises(ValueError, match="no energy"):
             result.best_energy()
@@ -232,32 +247,32 @@ class TestEnergyInSweepResults:
 
 
 class TestTaskStreams:
-    """iter_task_evals: the executor generalized beyond the paper grid."""
+    """``Session.map`` over ``EvaluateJob``s: points beyond the paper grid."""
 
     def tasks(self, graph, n=4):
-        from repro.analysis.sweep import EvalTask
-        from repro.arch import paper_case_study
-        from repro.core import ScheduleOptions
-        from repro.mapping import minimum_pe_requirement
-
         min_pes = minimum_pe_requirement(graph, CrossbarSpec())
-        tasks = []
-        for i in range(n):
-            tasks.append(EvalTask(
-                key=f"t{i}",
+        return [
+            EvaluateJob(
+                graph,
                 arch=paper_case_study(min_pes + 2 * (i + 1)),
                 options=ScheduleOptions(
                     mapping="wdup" if i % 2 else "none",
                     scheduling="clsa-cim",
                     granularity=SetGranularity(rows_per_set=4),
                 ),
-            ))
-        return tasks
+                assume_canonical=True,
+                key=f"t{i}",
+            )
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def run(session, jobs):
+        return {result.key: result.unwrap() for result in session.map(jobs)}
 
     def test_serial_stream(self):
         spec, graph = small_spec()
-        executor = SweepExecutor(jobs=1)
-        results = executor.run_tasks(graph, self.tasks(graph))
+        results = self.run(Session(paper_case_study(1)), self.tasks(graph))
         assert set(results) == {"t0", "t1", "t2", "t3"}
         for evaluation in results.values():
             assert evaluation.metrics.latency_cycles > 0
@@ -266,12 +281,9 @@ class TestTaskStreams:
     def test_parallel_stream_matches_serial(self):
         spec, graph = small_spec()
         tasks = self.tasks(graph)
-        serial = SweepExecutor(jobs=1).run_tasks(graph, tasks)
-        executor = SweepExecutor(jobs=2)
-        try:
-            parallel = executor.run_tasks(graph, tasks)
-        finally:
-            executor.close_pool()
+        serial = self.run(Session(paper_case_study(1)), tasks)
+        with Session(paper_case_study(1), executor="process") as session:
+            parallel = self.run(session, tasks)
         for key in serial:
             assert serial[key].metrics.latency_cycles == \
                 parallel[key].metrics.latency_cycles
@@ -282,41 +294,33 @@ class TestTaskStreams:
         per-process compilation caches)."""
         spec, graph = small_spec()
         tasks = self.tasks(graph)
-        executor = SweepExecutor(jobs=2)
-        try:
-            executor.run_tasks(graph, tasks[:2])
-            first_pool = executor._stream_pool
-            executor.run_tasks(graph, tasks[2:])
-            assert executor._stream_pool is first_pool
+        with Session(paper_case_study(1), executor="process") as session:
+            self.run(session, tasks[:2])
+            first_pool = session.executor.pool
+            self.run(session, tasks[2:])
+            assert session.executor.pool is first_pool
             if first_pool is not None:  # pools may be unavailable in CI
-                executor.close_pool()
-                assert executor._stream_pool is None
-        finally:
-            executor.close_pool()
+                session.runtime.reset()
+                assert session.executor.pool is None
 
     def test_duplicate_keys_rejected(self):
         spec, graph = small_spec()
         tasks = self.tasks(graph)
         dupes = tasks + [tasks[0]]
         with pytest.raises(ValueError, match="unique"):
-            list(SweepExecutor(jobs=1).iter_task_evals(graph, dupes))
+            list(Session(paper_case_study(1)).map(dupes))
 
     def test_want_energy_false_skips_estimate(self):
-        from dataclasses import replace as dc_replace
-
         spec, graph = small_spec()
-        task = dc_replace(self.tasks(graph, n=1)[0], want_energy=False)
-        (result,) = SweepExecutor(jobs=1).run_tasks(graph, [task]).values()
+        job = dc_replace(self.tasks(graph, n=1)[0], want_energy=False)
+        (result,) = self.run(Session(paper_case_study(1)), [job]).values()
         assert result.energy is None
         assert result.energy_uj is None
         assert result.metrics.latency_cycles > 0
 
     def test_stream_shares_executor_cache(self):
         spec, graph = small_spec()
-        from repro.core.cache import CompilationCache
-
         cache = CompilationCache()
-        executor = SweepExecutor(jobs=1, cache=cache)
-        executor.run_tasks(graph, self.tasks(graph))
+        self.run(Session(paper_case_study(1), cache=cache), self.tasks(graph))
         # tiling runs once; later tasks hit the shared cache
         assert cache.stats["tile"].hits >= 2

@@ -28,16 +28,18 @@ from repro.core import (
     determine_sets,
     intra_layer_order,
     set_graph_arrays,
-    validate_arrays_schedule,
-    validate_batch_arrays_schedule,
-    validate_batch_schedule,
-    validate_schedule,
 )
 from repro.core.dependencies import DependencyGraph
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect
 from repro.mapping import minimum_pe_requirement
 from repro.sim import simulate
+from repro.verify import (
+    assert_arrays_schedule,
+    assert_batch_arrays_schedule,
+    assert_batch_schedule,
+    assert_schedule,
+)
 
 
 def chain_model(num_layers=3, size=8):
@@ -171,7 +173,7 @@ class TestEngineIdentity:
         order = intra_layer_order(sets, policy)
         fast = csr_static_schedule(set_graph_arrays(dep), order)
         slow = cross_layer_schedule(g, dep, order)
-        validate_schedule(slow, dep)
+        assert_schedule(slow, dep)
         assert task_keys(fast) == task_keys(slow)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 7])
@@ -186,7 +188,7 @@ class TestEngineIdentity:
         assert fast.makespan == slow.makespan
         assert fast.image_spans == slow.image_spans
         assert task_keys(fast.schedule) == task_keys(slow.schedule)
-        validate_batch_schedule(fast, csr.dependencies)
+        assert_batch_schedule(fast, csr.dependencies)
 
     def test_batch_csr_validates(self):
         csr, _ = compiled_pair(chain_model())
@@ -199,7 +201,7 @@ class TestEngineIdentity:
             slot = task.image * n + arrays.gid(task.layer, task.set_index)
             start[slot] = task.start
             end[slot] = task.end
-        validate_batch_arrays_schedule(arrays, 3, start, end)
+        assert_batch_arrays_schedule(arrays, 3, start, end)
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
@@ -236,7 +238,7 @@ class TestVectorizedValidation:
         start = np.zeros(arrays.num_sets, dtype=np.int64)
         end = start + arrays.area  # every set starts at 0: deps violated
         with pytest.raises(AssertionError, match="data dependency violated"):
-            validate_arrays_schedule(arrays, start, end)
+            assert_arrays_schedule(arrays, start, end)
 
     def test_rejects_resource_overlap(self):
         arrays = self.make_arrays()
@@ -256,7 +258,7 @@ class TestVectorizedValidation:
         start[hi - 1] = start[hi - 2]
         end[hi - 1] = start[hi - 1] + int(arrays.area[hi - 1])
         with pytest.raises(AssertionError):
-            validate_arrays_schedule(arrays, start, end)
+            assert_arrays_schedule(arrays, start, end)
 
 
 class TestColumnarSchedule:

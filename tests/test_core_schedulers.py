@@ -14,10 +14,10 @@ from repro.core import (
     determine_sets,
     intra_layer_order,
     layer_by_layer_schedule,
-    validate_schedule,
 )
 from repro.frontend import preprocess
 from repro.ir import GraphBuilder, Rect
+from repro.verify import assert_schedule
 
 
 def chain_model(num_layers=3, size=8):
@@ -124,7 +124,7 @@ class TestCrossLayerStatic:
         deps = determine_dependencies(graph, sets)
         order = intra_layer_order(sets)
         schedule = cross_layer_schedule(graph, deps, order)
-        validate_schedule(schedule, deps)
+        assert_schedule(schedule, deps)
         return schedule
 
     def test_chain_pipelines(self):
@@ -155,7 +155,7 @@ class TestCrossLayerDynamic:
         sets = determine_sets(graph)
         deps = determine_dependencies(graph, sets)
         schedule = cross_layer_schedule_dynamic(graph, deps)
-        validate_schedule(schedule, deps)
+        assert_schedule(schedule, deps)
         return schedule
 
     def test_matches_static_on_chain(self):
@@ -231,7 +231,7 @@ class TestScheduleProperties:
         sets = determine_sets(g, SetGranularity(rows_per_set=rows))
         deps = determine_dependencies(g, sets)
         dynamic = cross_layer_schedule_dynamic(g, deps)
-        validate_schedule(dynamic, deps)
+        assert_schedule(dynamic, deps)
         lbl = layer_by_layer_schedule(g, sets)
         assert dynamic.makespan <= lbl.makespan
         assert dynamic.busy_cycles() == lbl.busy_cycles()

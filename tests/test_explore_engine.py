@@ -3,14 +3,14 @@
 The acceptance-critical behaviours: every evaluated point is
 journalled, the frontier is non-trivial, and a re-run against the same
 store performs zero duplicate compiles (asserted through the engine's
-compile counters *and* a spy on the evaluation function).
+compile counters *and* a spy on the job runtime's ``execute_job``).
 """
 
 import json
 
 import pytest
 
-import repro.analysis.sweep as sweep_mod
+import repro.exec.runtime as runtime_mod
 from repro import Session, paper_case_study
 from repro.explore import (
     Categorical,
@@ -102,23 +102,26 @@ class TestResume:
     def test_second_run_compiles_nothing(self, canonical, tmp_path, monkeypatch):
         """The acceptance property: a resumed identical exploration is a
         pure journal replay — zero compiles, asserted three ways."""
-        path = str(tmp_path / "run.jsonl")
-        first = explore(canonical, strategy="random", store=path)
-        assert first.counters.compiles == BUDGET
-
         compile_calls = []
-        original = sweep_mod.evaluate_eval_task
+        original = runtime_mod.execute_job
 
         def spy(*args, **kwargs):
             compile_calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_mod, "evaluate_eval_task", spy)
+        monkeypatch.setattr(runtime_mod, "execute_job", spy)
+        path = str(tmp_path / "run.jsonl")
+        first = explore(canonical, strategy="random", store=path)
+        assert first.counters.compiles == BUDGET
+        # the spy sees every fresh evaluation, so the zero below is real
+        assert len(compile_calls) == BUDGET
+
+        compile_calls.clear()
         second = explore(canonical, strategy="random", store=path)
         # 1. the engine's own counters
         assert second.counters.compiles == 0
         assert second.counters.reused_full == BUDGET
-        # 2. the run store's fingerprint hit counter
+        # 2. no job reached the runtime
         assert len(compile_calls) == 0
         # 3. the frontier is rebuilt identically from the journal
         assert {e.key for e in second.frontier} == {

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import CrossbarSpec, paper_case_study
-from repro.core import ScheduleOptions, compile_model, validate_schedule
+from repro.core import ScheduleOptions, compile_model
 from repro.frontend import preprocess
 from repro.ir import Executor, GraphBuilder
 from repro.mapping import minimum_pe_requirement
 from repro.sim import evaluate, speedup_eq3
+from repro.verify import assert_schedule
 
 
 @st.composite
@@ -74,7 +75,7 @@ def test_property_compiler_invariants(model):
     for result in compiled.values():
         result.schedule.validate_intra_layer_order()
         if result.dependencies is not None:
-            validate_schedule(result.schedule, result.dependencies)
+            assert_schedule(result.schedule, result.dependencies)
 
     # 2. cross-layer never loses to layer-by-layer at equal mapping
     assert (
@@ -137,7 +138,7 @@ def test_property_csr_and_python_engines_identical(model, batch_size):
                 assume_canonical=True,
             )
         assert keys(compiled["csr"].schedule) == keys(compiled["python"].schedule)
-        validate_schedule(compiled["csr"].schedule, compiled["csr"].dependencies)
+        assert_schedule(compiled["csr"].schedule, compiled["csr"].dependencies)
 
     csr, ref = compiled["csr"], compiled["python"]
     fast = cross_layer_schedule_batch(

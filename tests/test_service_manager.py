@@ -183,7 +183,7 @@ class TestTtlAndStats:
             stats = manager.stats()
             assert stats["jobs"]["done"] == 1
             assert stats["total_submitted"] == 1
-            assert stats["executor"] == {"name": "async", "jobs": 2}
+            assert stats["executor"] == {"name": "thread", "jobs": 2}
             assert set(stats["cache"]) == {"memory_hits", "store_hits", "misses"}
             assert "store" not in stats
         finally:
@@ -203,11 +203,18 @@ class TestShutdown:
         assert blocker.state in TERMINAL_STATES
 
     def test_shutdown_idempotent_and_rejects_submissions(self):
-        manager = JobManager(1)
+        # The thread backend would rebuild its pool on a late submit, so
+        # the manager's own closed flag is the only guard.
+        manager = _BlockingManager(1)
+        manager.release.set()
+        record = manager.submit(EvaluateJob("tiny_sequential"))
+        wait_terminal(manager, record)
         manager.shutdown()
         manager.shutdown()  # no-op
-        with pytest.raises(RuntimeError, match="shut down"):
+        with pytest.raises(RuntimeError, match="^JobManager is shut down$"):
             manager.submit(EvaluateJob("tiny_sequential"))
+        assert manager.list_records() == [record]
+        assert manager.stats()["total_submitted"] == 1
 
     def test_shutdown_waits_for_inflight_within_grace(self):
         manager = _BlockingManager(1)

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.arch import CrossbarSpec, paper_case_study
-from repro.core import ScheduleOptions, compile_model, validate_schedule
+from repro.core import ScheduleOptions, compile_model
 from repro.frontend import preprocess
 from repro.mapping import minimum_pe_requirement
 from repro.models import tiny_csp, tiny_dual_head, tiny_sequential
 from repro.sim import CostModelConfig, NocCostModel, ZeroCostModel, simulate
+from repro.verify import assert_schedule
 
 
 def compile_xinf(graph, extra=8, mapping="none"):
@@ -43,7 +44,7 @@ class TestZeroCostReplay:
     def test_schedule_is_valid(self):
         compiled = compile_xinf(tiny_csp())
         result = simulate(compiled)
-        validate_schedule(result.schedule, compiled.dependencies)
+        assert_schedule(result.schedule, compiled.dependencies)
 
     def test_zero_edge_delay(self):
         compiled = compile_xinf(tiny_sequential())
