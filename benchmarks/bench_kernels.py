@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Columnar scheduling kernels vs the pure-Python reference schedulers.
+"""Columnar set-graph kernels vs the pure-Python reference paths.
 
-Measures the Stage IV hot loops that PR 3 lowered onto the CSR set
-graph of :mod:`repro.core.kernels`:
+Measures the Stage IV hot loops that run on the CSR set graph of
+:mod:`repro.core.kernels`:
 
 * **single-image** — FINEST-granularity dynamic cross-layer scheduling
   (what ``schedule_stage`` runs per config point: the scheduler plus
@@ -10,7 +10,11 @@ graph of :mod:`repro.core.kernels`:
 * **batch** — the pipelined batch scheduler at ``--batch`` inferences,
   measured symmetrically to the single-image workload: each engine's
   scheduler plus its validator (``assert_batch_schedule`` for the
-  reference, the vectorized array checks for the kernels).
+  reference, the vectorized array checks for the kernels);
+* **stage2** — Stage II itself: the per-set reference walk
+  (``determine_dependencies(..., use_index=False)``) vs the array pass
+  that writes the CSR directly, with a flag that both produced the same
+  ``indptr``/``indices`` array for array (edge order included).
 
 Methodology: every (workload, engine) measurement runs in a **fresh
 subprocess** with the collector in its default state, so one engine's
@@ -19,18 +23,20 @@ scheduled set; at batch 32 that is hundreds of thousands of objects)
 never inflates the other's collection pauses.  Within a process the
 timing is best-of-``--repeats`` with a collection before each run.
 
-The one-time CSR lowering (``set_graph_arrays``) is timed separately
+The one-time assembly of the kernel-side columns (reverse CSR,
+per-gid columns and their list views) is timed separately
 (``csr_build_s``): it is built once per compile and shared by the
 static/dynamic/batch schedulers and the simulator replay.  The
 headline ``speedup`` compares steady-state scheduling work
 (reference / kernel); ``speedup_incl_build`` charges the whole
-lowering to a single kernel run.
+assembly to a single kernel run.
 
 Writes ``BENCH_kernels.json`` (repo root by default) — the first entry
 of the repo's recorded perf trajectory — and exits non-zero when the
 kernels miss their bar: faster-than-reference in ``--quick`` mode
-(the CI smoke gate), the PR acceptance thresholds (>= 5x single-image,
->= 10x batch) in full mode.
+(the CI smoke gate), the acceptance thresholds (>= 5x single-image,
+>= 10x batch) in full mode.  Both modes also fail when the Stage II
+array pass is not faster than the reference walk or its edges differ.
 
 Usage::
 
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import platform
 import subprocess
@@ -92,7 +99,7 @@ def run_worker(spec: dict) -> None:
         csr_batch_schedule,
         csr_dynamic_schedule,
     )
-    from repro.core.kernels import _build_arrays
+    from repro.core import SetGraphArrays, determine_dependencies
     from repro.verify import assert_batch_schedule, assert_schedule
 
     compiled = _compile(spec["model"])
@@ -106,9 +113,27 @@ def run_worker(spec: dict) -> None:
         "num_layers": len(dependencies.sets),
     }
 
+    if spec["workload"] == "stage2":
+        use_index = spec["engine"] == "csr"  # the array pass; else the reference walk
+        built = []
+        result["seconds"] = best_of(
+            lambda: built.append(
+                determine_dependencies(mapped, compiled.sets, use_index=use_index)
+            ),
+            repeats,
+        )
+        csr = built[-1].arrays
+        result["csr_sha256"] = hashlib.sha256(
+            csr.indptr.astype("<i8").tobytes() + csr.indices.astype("<i8").tobytes()
+        ).hexdigest()
+        print(json.dumps(result))
+        return
+
     if spec["engine"] == "csr":
         started = time.perf_counter()
-        arrays = _build_arrays(dependencies)
+        arrays = SetGraphArrays.from_csr(
+            dependencies.sets, dependencies.arrays.indptr, dependencies.arrays.indices
+        )
         arrays.as_lists()
         result["build_s"] = time.perf_counter() - started
         if spec["workload"] == "single":
@@ -165,7 +190,7 @@ def bench_model(model: str, batch_size: int, repeats: int) -> dict:
             batch_size,
             repeats * 4 if workload == "single" else repeats,
         )
-        for workload in ("single", "batch")
+        for workload in ("single", "batch", "stage2")
         for engine in ("python", "csr")
     }
     sample = results[("single", "csr")]
@@ -191,6 +216,17 @@ def bench_model(model: str, batch_size: int, repeats: int) -> dict:
         "csr_build_s": round(build_s, 6),
         "single_image": section("single"),
         "batch": {"batch_size": batch_size, **section("batch")},
+        "stage2": {
+            "reference_s": round(results[("stage2", "python")]["seconds"], 6),
+            "array_pass_s": round(results[("stage2", "csr")]["seconds"], 6),
+            "speedup": round(
+                results[("stage2", "python")]["seconds"]
+                / results[("stage2", "csr")]["seconds"],
+                2,
+            ),
+            "identical_edges": results[("stage2", "python")]["csr_sha256"]
+            == results[("stage2", "csr")]["csr_sha256"],
+        },
     }
     return record
 
@@ -244,7 +280,7 @@ def main(argv=None) -> int:
     batch = workload["batch"]
     print(
         f"{model}: {workload['num_sets']} sets, {workload['num_edges']} edges "
-        f"(CSR lowering {workload['csr_build_s'] * 1e3:.1f} ms)"
+        f"(CSR column build {workload['csr_build_s'] * 1e3:.1f} ms)"
     )
     print(
         f"  single-image dynamic: python {single['python_s'] * 1e3:8.1f} ms | "
@@ -255,10 +291,24 @@ def main(argv=None) -> int:
         f"python {batch['python_s'] * 1e3:8.1f} ms | "
         f"csr {batch['csr_s'] * 1e3:7.1f} ms | {batch['speedup']:.1f}x"
     )
+    stage2 = workload["stage2"]
+    print(
+        f"  stage II:             "
+        f"python {stage2['reference_s'] * 1e3:8.1f} ms | "
+        f"csr {stage2['array_pass_s'] * 1e3:7.1f} ms | {stage2['speedup']:.1f}x "
+        f"(edges {'identical' if stage2['identical_edges'] else 'DIFFER'})"
+    )
     print(f"wrote {out_path}")
 
     if args.no_check:
         return 0
+    if not stage2["identical_edges"] or stage2["speedup"] <= 1.0:
+        print(
+            "FAIL: the Stage II array pass differs from the reference walk "
+            "or is not faster",
+            file=sys.stderr,
+        )
+        return 1
     if args.quick:
         ok = single["speedup"] >= 1.0 and batch["speedup"] >= 1.0
         if not ok:

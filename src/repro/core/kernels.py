@@ -8,22 +8,23 @@ zero-cost replay of :mod:`repro.sim.engine` walk ``dict[(str, int)]``
 structures and allocate one frozen :class:`~repro.core.schedule.SetTask`
 per set — pure interpreter overhead at scale.
 
-This module lowers the set-level problem once per compile to flat
-NumPy arrays:
+The kernels here run on the set graph in columnar form
+(:class:`~repro.core.dependencies.SetGraphArrays`), which Stage II
+emits directly:
 
 * a **global dense set-id space**: set ``(layer, set_index)`` becomes
   ``gid = offsets[layer_id] + set_index``, with per-gid ``layer_of`` /
   ``set_index`` / ``area`` / rect-coordinate columns;
-* a **CSR encoding** of ``DependencyGraph.deps`` (``indptr`` /
-  ``indices`` over predecessor gids) plus the **reverse CSR**
-  (``rindptr`` / ``rindices`` over consumer gids) for event-driven
-  wake-ups.
+* a **CSR** of the data dependencies (``indptr`` / ``indices`` over
+  predecessor gids) plus the **reverse CSR** (``rindptr`` /
+  ``rindices`` over consumer gids) for event-driven wake-ups.
 
-The arrays are built once and memoized on the
-:class:`~repro.core.dependencies.DependencyGraph` instance (and cached
-on the :class:`~repro.core.passes.CompilationContext`), so the static
-scheduler, the dynamic list scheduler, the batch pipeline scheduler and
-the simulator replay all share one lowering.
+The arrays live on the
+:class:`~repro.core.dependencies.DependencyGraph` (and are cached on
+the :class:`~repro.core.passes.CompilationContext`), so the static
+scheduler, the dynamic list scheduler, the batch pipeline scheduler
+and the simulator replay all share them; only a graph built from a
+``deps`` dict is lowered, once.
 
 Engine selection is a compile option:
 ``ScheduleOptions(engine="csr")`` (the default) runs the kernels here;
@@ -41,189 +42,25 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dependencies import DependencyGraph
+from .dependencies import DependencyGraph, SetGraphArrays
 from .schedule import Schedule, ScheduleColumns
 
 #: Scheduling engine option names (``ScheduleOptions.engine``).
 ENGINES = ("csr", "python")
 
-#: Attribute under which the lowered arrays are memoized on a
-#: :class:`DependencyGraph` instance.
-_ARRAYS_ATTR = "_set_graph_arrays"
-
-
-@dataclass(frozen=True)
-class SetGraphArrays:
-    """Columnar lowering of one :class:`DependencyGraph`.
-
-    Attributes
-    ----------
-    layers:
-        Base layer names in Stage I order (graph topological order).
-    offsets:
-        ``int64[L+1]``; layer ``l`` owns gids ``[offsets[l], offsets[l+1])``,
-        with ``gid - offsets[l]`` equal to the set index within the layer.
-    layer_of / set_index / area / r0 / c0 / r1 / c1:
-        Per-gid columns (layer id, intra-layer set index, pixel count,
-        and the set rectangle's coordinates).
-    indptr / indices:
-        CSR of the data-dependency edges: the predecessors of ``gid``
-        are ``indices[indptr[gid]:indptr[gid+1]]``.
-    rindptr / rindices:
-        Reverse CSR: the consumers of ``gid``, ascending.
-    lex_rank:
-        Per layer id, the layer's rank when names are sorted
-        lexicographically (tie-break parity with the reference
-        schedulers' string-keyed event heaps).
-    """
-
-    layers: tuple[str, ...]
-    offsets: np.ndarray
-    layer_of: np.ndarray
-    set_index: np.ndarray
-    area: np.ndarray
-    r0: np.ndarray
-    c0: np.ndarray
-    r1: np.ndarray
-    c1: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    rindptr: np.ndarray
-    rindices: np.ndarray
-    lex_rank: np.ndarray
-
-    @property
-    def num_sets(self) -> int:
-        """Total sets (the size of the global gid space)."""
-        return len(self.layer_of)
-
-    @property
-    def num_layers(self) -> int:
-        """Number of base layers."""
-        return len(self.layers)
-
-    @property
-    def num_edges(self) -> int:
-        """Total data-dependency edges."""
-        return len(self.indices)
-
-    def gid(self, layer: str, set_index: int) -> int:
-        """Global set id of ``(layer, set_index)``."""
-        return int(self.offsets[self.layers.index(layer)]) + set_index
-
-    def as_lists(self) -> dict[str, list]:
-        """Plain-list views of the hot columns (memoized).
-
-        The event-driven kernels index per element, where Python lists
-        beat NumPy scalar indexing by an order of magnitude; the
-        conversion is done once per lowering, not per schedule.
-        """
-        cached = getattr(self, "_lists", None)
-        if cached is None:
-            rindptr = self.rindptr.tolist()
-            rindices = self.rindices.tolist()
-            cached = {
-                "offsets": self.offsets.tolist(),
-                "layer_of": self.layer_of.tolist(),
-                "set_index": self.set_index.tolist(),
-                "area": self.area.tolist(),
-                "indegree": np.diff(self.indptr).tolist(),
-                # Per-gid consumer tuples: slicing rindices per event in
-                # the hot loops would allocate a fresh list each time.
-                "consumers": [
-                    tuple(rindices[rindptr[gid] : rindptr[gid + 1]])
-                    for gid in range(len(self.layer_of))
-                ],
-                "lex": self.lex_rank.tolist(),
-            }
-            object.__setattr__(self, "_lists", cached)
-        return cached
-
 
 def set_graph_arrays(dependency_graph: DependencyGraph) -> SetGraphArrays:
-    """Lower ``dependency_graph`` to :class:`SetGraphArrays` (memoized).
+    """The CSR form of ``dependency_graph``.
 
-    The result is cached on the dependency graph instance, so the
-    schedulers, the batch extension and the simulator replay share one
-    lowering per compilation.
+    Stage II builds it directly; a graph built from a ``deps`` dict
+    (the reference walk, an artifact load) lowers it once on first use.
+    Either way the schedulers, the batch extension, the simulator
+    replay and the energy model share one instance per graph.
     """
-    cached = getattr(dependency_graph, _ARRAYS_ATTR, None)
-    if cached is not None:
-        return cached
-    arrays = _build_arrays(dependency_graph)
-    setattr(dependency_graph, _ARRAYS_ATTR, arrays)
-    return arrays
-
-
-def _build_arrays(dependency_graph: DependencyGraph) -> SetGraphArrays:
-    sets = dependency_graph.sets
-    deps = dependency_graph.deps
-    layers = tuple(sets)
-    counts = np.asarray([len(sets[layer]) for layer in layers], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    n = int(offsets[-1])
-
-    layer_of = np.repeat(np.arange(len(layers), dtype=np.int32), counts)
-    set_index = (
-        np.arange(n, dtype=np.int64) - offsets[:-1].repeat(counts)
-    ).astype(np.int32)
-
-    coords = np.asarray(
-        [
-            (rect.r0, rect.c0, rect.r1, rect.c1)
-            for layer in layers
-            for rect in sets[layer]
-        ],
-        dtype=np.int64,
-    ).reshape(n, 4)
-    area = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
-
-    base = {layer: int(offsets[lid]) for lid, layer in enumerate(layers)}
-    indptr_list = [0]
-    indices_list: list[int] = []
-    for layer in layers:
-        for si in range(len(sets[layer])):
-            refs = deps.get((layer, si))
-            if refs is None:
-                raise KeyError(
-                    f"dependency graph has no entry for set ({layer!r}, {si}); "
-                    "run determine_dependencies() over the same Stage I sets"
-                )
-            indices_list.extend(base[ref_layer] + ref_si for ref_layer, ref_si in refs)
-            indptr_list.append(len(indices_list))
-    indptr = np.asarray(indptr_list, dtype=np.int64)
-    indices = np.asarray(indices_list, dtype=np.int64)
-
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    rindices = rows[np.argsort(indices, kind="stable")]
-    rindptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(indices, minlength=n)))
-    ).astype(np.int64)
-
-    lex_rank = np.empty(len(layers), dtype=np.int32)
-    for rank, lid in enumerate(sorted(range(len(layers)), key=lambda i: layers[i])):
-        lex_rank[lid] = rank
-
-    return SetGraphArrays(
-        layers=layers,
-        offsets=offsets,
-        layer_of=layer_of,
-        set_index=set_index,
-        area=area,
-        r0=np.ascontiguousarray(coords[:, 0], dtype=np.int32),
-        c0=np.ascontiguousarray(coords[:, 1], dtype=np.int32),
-        r1=np.ascontiguousarray(coords[:, 2], dtype=np.int32),
-        c1=np.ascontiguousarray(coords[:, 3], dtype=np.int32),
-        indptr=indptr,
-        indices=indices,
-        rindptr=rindptr,
-        rindices=rindices,
-        lex_rank=lex_rank,
-    )
+    return dependency_graph.arrays
 
 
 # ---------------------------------------------------------------------------

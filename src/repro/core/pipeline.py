@@ -382,7 +382,7 @@ def dependencies_stage(
     cache: Optional[CompilationCache] = None,
     mapped_key: Optional[CacheKey] = None,
 ) -> DependencyGraph:
-    """Stage II: determine dependencies (interval-indexed)."""
+    """Stage II: determine dependencies (the CSR array pass)."""
     return _stage_cached(
         cache,
         lambda: ("deps", _key_for(mapped, cache, mapped_key), granularity),

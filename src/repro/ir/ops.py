@@ -6,14 +6,17 @@ algorithm needs:
 ``infer_shape(input_shapes)``
     Forward shape inference (HWC, batch-free).
 
-``input_regions(out_rect, input_shapes, output_shape)``
-    *Backward region propagation*: given a spatial rectangle of the
-    operator's output, return the rectangle of each input that is
-    required to produce it.  Stage II of CLSA-CIM ("determine
-    dependencies") is built entirely on this method — the paper notes
-    that "when adding new base layers to the algorithm, this dependency
-    has to be specified", which in this implementation means
-    subclassing :class:`Op` and overriding :meth:`Op.input_regions`.
+``input_bounds(out, input_shapes, output_shape)``
+    *Backward region propagation*: given spatial rectangles of the
+    operator's output (as :class:`~repro.ir.tensor.Bounds` columns),
+    return the rectangles of each input that are required to produce
+    them.  Stage II of CLSA-CIM ("determine dependencies") is built
+    entirely on this rule — the paper notes that "when adding new base
+    layers to the algorithm, this dependency has to be specified",
+    which in this implementation means subclassing :class:`Op` and
+    overriding :meth:`Op.input_bounds`.  :meth:`Op.input_regions` is
+    the same rule for one :class:`~repro.ir.tensor.Rect`; Stage II
+    applies the rule to all sets of a layer at once.
 
 Operators are split into *base layers* (executed on crossbar PEs:
 :class:`Conv2D`, :class:`Dense`) and *non-base layers* (executed on the
@@ -29,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Rect, Shape
+from .tensor import Bounds, Rect, Shape
 
 #: Padding modes accepted by convolution and pooling operators.
 PADDING_MODES = ("valid", "same")
@@ -77,31 +80,38 @@ def conv_out_size(in_size: int, kernel: int, stride: int, padding: str) -> int:
     raise OpError(f"unknown padding mode {padding!r}")
 
 
-def window_input_rect(
-    out_rect: Rect,
+def window_input_bounds(
+    out: Bounds,
     kernel: tuple[int, int],
     strides: tuple[int, int],
-    pads_before: tuple[int, int],
+    padding: str,
     input_shape: Shape,
-) -> Rect:
+) -> Bounds:
     """Backward region rule shared by convolutions and pooling.
 
     For output rows ``[r0, r1)`` a window op with kernel ``kh`` and
     stride ``sh`` reads input rows ``[r0*sh - pt, (r1-1)*sh + kh - pt)``
-    (and analogously for columns), clipped to the input bounds.
+    (and analogously for columns), clipped to the input bounds; ``pt``
+    is the SAME-padding offset (0 for VALID).
     """
-    if out_rect.is_empty():
-        return Rect.empty()
     kh, kw = kernel
     sh, sw = strides
-    pt, pl = pads_before
-    rect = Rect(
-        out_rect.r0 * sh - pt,
-        out_rect.c0 * sw - pl,
-        (out_rect.r1 - 1) * sh + kh - pt,
-        (out_rect.c1 - 1) * sw + kw - pl,
-    )
-    return rect.clip(input_shape.height, input_shape.width)
+    if padding == "same":
+        pt = same_padding(input_shape.height, kh, sh)[0]
+        pl = same_padding(input_shape.width, kw, sw)[0]
+    else:
+        pt = pl = 0
+    return Bounds(
+        out.r0 * sh - pt,
+        out.c0 * sw - pl,
+        (out.r1 - 1) * sh + kh - pt,
+        (out.c1 - 1) * sw + kw - pl,
+    ).clip(input_shape.height, input_shape.width)
+
+
+def full_input_bounds(input_shape: Shape) -> Bounds:
+    """Every position of the input: the rule of whole-map reductions."""
+    return Bounds(0, 0, input_shape.height, input_shape.width)
 
 
 @dataclass
@@ -131,11 +141,30 @@ class Op:
         """Forward shape inference. Subclasses must override."""
         raise NotImplementedError
 
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        """Backward region rule, one :class:`Bounds` per input.
+
+        ``out`` holds non-empty output rectangles (int or array
+        columns); subclasses must override.
+        """
+        raise NotImplementedError
+
     def input_regions(
         self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
     ) -> list[Rect]:
-        """Backward region propagation. Subclasses must override."""
-        raise NotImplementedError
+        """Backward region propagation of one rectangle.
+
+        Evaluates :meth:`input_bounds`; an empty ``out_rect`` needs
+        nothing, so every input region is then empty.
+        """
+        if out_rect.is_empty():
+            return [Rect.empty() for _ in input_shapes]
+        return [
+            Rect(*bounds)
+            for bounds in self.input_bounds(Bounds.of(out_rect), input_shapes, output_shape)
+        ]
 
     def _expect_arity(self, input_shapes: list[Shape], arity: int) -> None:
         if len(input_shapes) != arity:
@@ -167,9 +196,9 @@ class Input(Op):
         self._expect_arity(input_shapes, 0)
         return self.shape
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
         return []
 
 
@@ -212,18 +241,12 @@ class Conv2D(Op):
         out_w = conv_out_size(in_shape.width, kw, sw, self.padding)
         return Shape(out_h, out_w, self.out_channels)
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        in_shape = input_shapes[0]
-        if self.padding == "same":
-            pads = (
-                same_padding(in_shape.height, self.kernel[0], self.strides[0])[0],
-                same_padding(in_shape.width, self.kernel[1], self.strides[1])[0],
-            )
-        else:
-            pads = (0, 0)
-        return [window_input_rect(out_rect, self.kernel, self.strides, pads, in_shape)]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [
+            window_input_bounds(out, self.kernel, self.strides, self.padding, input_shapes[0])
+        ]
 
     def kernel_matrix_shape(self, in_channels: int) -> tuple[int, int]:
         """im2col kernel-matrix dimensions ``(KW*KH*KI, KO)`` (Fig. 3)."""
@@ -263,13 +286,10 @@ class Dense(Op):
             )
         return Shape(1, 1, self.units)
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        in_shape = input_shapes[0]
-        if out_rect.is_empty():
-            return [Rect.empty()]
-        return [in_shape.full_rect()]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [full_input_bounds(input_shapes[0])]
 
     def kernel_matrix_shape(self, in_features: int) -> tuple[int, int]:
         """Kernel-matrix dimensions ``(in_features, units)``."""
@@ -298,10 +318,10 @@ class BatchNorm(Op):
         self._expect_arity(input_shapes, 1)
         return input_shapes[0]
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        return [out_rect]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [out]
 
     def param_count(self) -> int:
         return sum(
@@ -321,10 +341,10 @@ class BiasAdd(Op):
         self._expect_arity(input_shapes, 1)
         return input_shapes[0]
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        return [out_rect]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [out]
 
     def param_count(self) -> int:
         return 0 if self.bias is None else int(self.bias.size)
@@ -354,12 +374,12 @@ class Pad(Op):
             in_shape.channels,
         )
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
         in_shape = input_shapes[0]
-        rect = out_rect.shift(-self.pad_top, -self.pad_left)
-        return [rect.clip(in_shape.height, in_shape.width)]
+        bounds = out.shift(-self.pad_top, -self.pad_left)
+        return [bounds.clip(in_shape.height, in_shape.width)]
 
     @property
     def is_identity(self) -> bool:
@@ -382,10 +402,10 @@ class Activation(Op):
         self._expect_arity(input_shapes, 1)
         return input_shapes[0]
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        return [out_rect]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [out]
 
 
 @dataclass
@@ -411,18 +431,12 @@ class _Pool(Op):
         out_w = conv_out_size(in_shape.width, self.pool[1], self.strides[1], self.padding)
         return Shape(out_h, out_w, in_shape.channels)
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        in_shape = input_shapes[0]
-        if self.padding == "same":
-            pads = (
-                same_padding(in_shape.height, self.pool[0], self.strides[0])[0],
-                same_padding(in_shape.width, self.pool[1], self.strides[1])[0],
-            )
-        else:
-            pads = (0, 0)
-        return [window_input_rect(out_rect, self.pool, self.strides, pads, in_shape)]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [
+            window_input_bounds(out, self.pool, self.strides, self.padding, input_shapes[0])
+        ]
 
 
 @dataclass
@@ -443,13 +457,10 @@ class GlobalAvgPool(Op):
         self._expect_arity(input_shapes, 1)
         return Shape(1, 1, input_shapes[0].channels)
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        in_shape = input_shapes[0]
-        if out_rect.is_empty():
-            return [Rect.empty()]
-        return [in_shape.full_rect()]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [full_input_bounds(input_shapes[0])]
 
 
 @dataclass
@@ -467,10 +478,10 @@ class Add(Op):
                 )
         return first
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        return [out_rect for _ in input_shapes]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [out for _ in input_shapes]
 
 
 @dataclass
@@ -490,10 +501,10 @@ class Concat(Op):
             channels += shape.channels
         return Shape(first.height, first.width, channels)
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        return [out_rect for _ in input_shapes]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [out for _ in input_shapes]
 
 
 @dataclass
@@ -545,17 +556,17 @@ class ConcatSpatial(Op):
             position += shape.height if self.axis == "height" else shape.width
         return offsets
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        rects = []
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        regions = []
         for shape, offset in zip(input_shapes, self.input_offsets(input_shapes)):
             if self.axis == "height":
-                rect = out_rect.shift(-offset, 0)
+                bounds = out.shift(-offset, 0)
             else:
-                rect = out_rect.shift(0, -offset)
-            rects.append(rect.clip(shape.height, shape.width))
-        return rects
+                bounds = out.shift(0, -offset)
+            regions.append(bounds.clip(shape.height, shape.width))
+        return regions
 
 
 @dataclass
@@ -597,12 +608,12 @@ class Slice(Op):
         self._expect_arity(input_shapes, 1)
         return Shape(*self.resolved_sizes(input_shapes[0]))
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
         in_shape = input_shapes[0]
-        rect = out_rect.shift(self.offsets[0], self.offsets[1])
-        return [rect.clip(in_shape.height, in_shape.width)]
+        bounds = out.shift(self.offsets[0], self.offsets[1])
+        return [bounds.clip(in_shape.height, in_shape.width)]
 
 
 @dataclass
@@ -624,19 +635,15 @@ class Upsample(Op):
             in_shape.channels,
         )
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
         in_shape = input_shapes[0]
-        if out_rect.is_empty():
-            return [Rect.empty()]
-        rect = Rect(
-            out_rect.r0 // self.factor,
-            out_rect.c0 // self.factor,
-            math.ceil(out_rect.r1 / self.factor),
-            math.ceil(out_rect.c1 / self.factor),
+        factor = self.factor
+        bounds = Bounds(  # floor of the start, ceiling of the end
+            out.r0 // factor, out.c0 // factor, -(-out.r1 // factor), -(-out.c1 // factor)
         )
-        return [rect.clip(in_shape.height, in_shape.width)]
+        return [bounds.clip(in_shape.height, in_shape.width)]
 
 
 @dataclass
@@ -647,13 +654,10 @@ class Flatten(Op):
         self._expect_arity(input_shapes, 1)
         return Shape(1, 1, input_shapes[0].num_elements)
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        in_shape = input_shapes[0]
-        if out_rect.is_empty():
-            return [Rect.empty()]
-        return [in_shape.full_rect()]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [full_input_bounds(input_shapes[0])]
 
 
 @dataclass
@@ -664,10 +668,10 @@ class Identity(Op):
         self._expect_arity(input_shapes, 1)
         return input_shapes[0]
 
-    def input_regions(
-        self, out_rect: Rect, input_shapes: list[Shape], output_shape: Shape
-    ) -> list[Rect]:
-        return [out_rect]
+    def input_bounds(
+        self, out: Bounds, input_shapes: list[Shape], output_shape: Shape
+    ) -> list[Bounds]:
+        return [out]
 
 
 #: All concrete op classes, keyed by type name (used by serialization).

@@ -12,12 +12,20 @@ feature maps as ``(H, W, C)``).  Two geometric primitives live here:
     A half-open spatial rectangle ``[r0, r1) x [c0, c1)`` used as the
     *hyperrectangle* of the paper's Stage I/II: scheduling sets and the
     regions propagated between layers are all ``Rect`` instances.
+
+``Bounds``
+    The same four coordinates as plain columns: ints for one rectangle,
+    or equal-length int64 arrays for many at once.  Every operator's
+    backward region rule is written once against ``Bounds``, so Stage
+    II can apply it to all sets of a layer in one array pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -170,6 +178,45 @@ class Rect:
 
     def __str__(self) -> str:
         return f"[{self.r0}:{self.r1}, {self.c0}:{self.c1}]"
+
+
+class Bounds(NamedTuple):
+    """Rectangle coordinates ``[r0, r1) x [c0, c1)`` as four columns.
+
+    Each column is an ``int`` (one rectangle) or an int64 array (one
+    entry per rectangle); the methods work on both, so a region rule
+    written once serves :class:`Rect` callers and array passes alike.
+    Empty rows are not normalised: callers track :meth:`nonempty`.
+    """
+
+    r0: Any
+    c0: Any
+    r1: Any
+    c1: Any
+
+    @staticmethod
+    def of(rect: Rect) -> "Bounds":
+        """The coordinates of one rectangle."""
+        return Bounds(rect.r0, rect.c0, rect.r1, rect.c1)
+
+    def shift(self, d_row: int, d_col: int) -> "Bounds":
+        """Translate by ``(d_row, d_col)``."""
+        return Bounds(self.r0 + d_row, self.c0 + d_col, self.r1 + d_row, self.c1 + d_col)
+
+    def clip(self, height: int, width: int) -> "Bounds":
+        """Clip to an ``height x width`` map (as :meth:`Rect.clip`)."""
+        if isinstance(self.r0, np.ndarray):
+            return Bounds(
+                np.maximum(self.r0, 0),
+                np.maximum(self.c0, 0),
+                np.minimum(self.r1, height),
+                np.minimum(self.c1, width),
+            )
+        return Bounds(max(self.r0, 0), max(self.c0, 0), min(self.r1, height), min(self.c1, width))
+
+    def nonempty(self) -> Any:
+        """Whether each rectangle covers at least one position."""
+        return (self.r1 > self.r0) & (self.c1 > self.c0)
 
 
 def rect_grid(height: int, width: int, tile_rows: int, tile_cols: int) -> list[Rect]:

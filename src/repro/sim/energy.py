@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.pipeline import CompiledModel
 from .metrics import active_pe_cycles
 
@@ -133,24 +135,7 @@ def estimate_energy(
 
     noc_nj = 0.0
     if compiled.dependencies is not None:
-        noc = compiled.arch.build_noc()
-        sets = compiled.dependencies.sets
-        shapes = compiled.mapped.infer_shapes()
-        home_tile = {
-            layer: compiled.placement.tiles_of(layer)[0]
-            for layer in compiled.placement.pe_ranges
-        }
-        for (layer, _index), preds in compiled.dependencies.deps.items():
-            dst = home_tile[layer]
-            for pred_layer, pred_index in preds:
-                rect = sets[pred_layer][pred_index]
-                payload = (
-                    rect.area
-                    * shapes[pred_layer].channels
-                    * config.bytes_per_element
-                )
-                hops = noc.hops(home_tile[pred_layer], dst)
-                noc_nj += config.noc_energy_nj_per_byte_hop * payload * hops
+        noc_nj = _noc_energy_nj(compiled, config)
 
     makespan_ns = compiled.latency_ns
     static_mw = config.static_power_mw_per_pe * compiled.arch.num_pes
@@ -165,3 +150,34 @@ def estimate_energy(
         makespan_ns=makespan_ns,
         details={"active_pe_cycles": float(sum(active.values()))},
     )
+
+
+def _noc_energy_nj(compiled: CompiledModel, config: EnergyModelConfig) -> float:
+    """NoC energy of every dependency edge, from the CSR set graph.
+
+    Each edge moves its producer set's payload between the two layers'
+    home tiles.  The per-edge terms are summed in edge order with a
+    sequential ``cumsum`` so the total is bit-identical to adding them
+    one by one.
+    """
+    arrays = compiled.dependencies.arrays
+    if not arrays.num_edges:
+        return 0.0
+    noc = compiled.arch.build_noc()
+    shapes = compiled.mapped.infer_shapes()
+    home_tile = [compiled.placement.tiles_of(layer)[0] for layer in arrays.layers]
+    channels = np.asarray([shapes[layer].channels for layer in arrays.layers], dtype=np.int64)
+    consumer = np.repeat(np.arange(arrays.num_sets), np.diff(arrays.indptr))
+    src = arrays.layer_of[arrays.indices].astype(np.int64)
+    dst = arrays.layer_of[consumer].astype(np.int64)
+    pairs, pair_of_edge = np.unique(src * arrays.num_layers + dst, return_inverse=True)
+    hop_table = np.asarray(
+        [
+            noc.hops(home_tile[pair // arrays.num_layers], home_tile[pair % arrays.num_layers])
+            for pair in pairs.tolist()
+        ],
+        dtype=np.int64,
+    )
+    payload = arrays.area[arrays.indices] * channels[src] * config.bytes_per_element
+    terms = config.noc_energy_nj_per_byte_hop * payload * hop_table[pair_of_edge]
+    return float(np.cumsum(terms)[-1])

@@ -8,7 +8,9 @@ architectures, sets, schedules, duplication solutions, rewrites); the
 two stage values that format never stored standalone — per-layer
 tilings and placements — get small codecs here.  Placements store
 their tilings explicitly: unlike the compiled-artifact loader, a store
-decode has no mapped graph in hand to recompute them from.
+decode has no mapped graph in hand to recompute them from.  The Stage
+II set graph is stored as packed integer arrays (its CSR form), not
+as JSON lists.
 
 Each codec carries a ``version`` that is folded into the entry's
 content address (see :func:`repro.store.keys.key_digest`), so bumping
@@ -20,12 +22,13 @@ Stages without a codec here (third-party mapping rules keyed through
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from ..ir.serialize import (
-    _dependencies_from_list,
-    _dependencies_to_list,
     _duplication_from_dict,
     _duplication_to_dict,
     _rewrite_from_dict,
@@ -163,14 +166,49 @@ def _decode_sets(payload: dict[str, Any]) -> Any:
 
 
 # -- Stage II dependencies (deps) -------------------------------------------
+#
+# Version 2 stores the set graph as packed arrays (base64 of little-endian
+# int32): the set rectangles per layer and the CSR, instead of one JSON
+# list per set.  Decoding checks the structure, so a well-formed but
+# wrong payload is quarantined like a corrupt one.
+
+
+def _pack(array: Any) -> str:
+    return base64.b64encode(np.asarray(array, dtype="<i4").tobytes()).decode("ascii")
+
+
+def _unpack(text: str) -> Any:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<i4")
 
 
 def _encode_deps(value: Any) -> dict[str, Any]:
-    return {"sets": _sets_to_dict(value.sets), "deps": _dependencies_to_list(value)}
+    arrays = value.arrays
+    return {
+        "layers": list(arrays.layers),
+        "counts": np.diff(arrays.offsets).tolist(),
+        "rects": _pack(np.stack((arrays.r0, arrays.c0, arrays.r1, arrays.c1), axis=1)),
+        "indptr": _pack(arrays.indptr),
+        "indices": _pack(arrays.indices),
+    }
 
 
 def _decode_deps(payload: dict[str, Any]) -> Any:
-    return _dependencies_from_list(payload["deps"], _sets_from_dict(payload["sets"]))
+    from ..core.dependencies import DependencyGraph, SetGraphArrays
+    from ..ir.tensor import Rect
+
+    layers, counts = payload["layers"], payload["counts"]
+    rows = _unpack(payload["rects"]).reshape(-1, 4).tolist()
+    if len(layers) != len(counts) or min(counts, default=0) < 0 or sum(counts) != len(rows):
+        raise ValueError("deps payload: set counts do not match the rectangles")
+    sets: dict[str, list[Rect]] = {}
+    start = 0
+    for layer, count in zip(layers, counts):
+        sets[layer] = [Rect(*row) for row in rows[start : start + count]]
+        start += count
+    arrays = SetGraphArrays.from_csr(
+        sets, _unpack(payload["indptr"]), _unpack(payload["indices"])
+    )
+    return DependencyGraph(sets=sets, arrays=arrays)
 
 
 # -- schedule ---------------------------------------------------------------
@@ -193,7 +231,7 @@ CODECS: dict[str, StageCodec] = {
         StageCodec("wdup", 1, _encode_wdup, _decode_wdup),
         StageCodec("place", 1, _encode_placement, _decode_placement),
         StageCodec("sets", 1, _encode_sets, _decode_sets),
-        StageCodec("deps", 1, _encode_deps, _decode_deps),
+        StageCodec("deps", 2, _encode_deps, _decode_deps),
         StageCodec("schedule", 1, _encode_schedule, _decode_schedule),
     )
 }

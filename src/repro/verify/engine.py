@@ -3,7 +3,7 @@
 A :class:`VerifyContext` bundles whatever compilation artifacts a
 caller has — anywhere from a bare :class:`~repro.ir.graph.Graph` to a
 full :class:`~repro.core.pipeline.CompiledModel` — and memoizes the
-derived structures the rules share (dependency graph, CSR lowering,
+derived structures the rules share (dependency graph, CSR set graph,
 hazard table, shapes).  :func:`verify_context` runs every registered
 rule whose requirements the context satisfies and returns a
 :class:`VerifyReport`.
@@ -90,7 +90,7 @@ class VerifyContext:
         return self._memoized("dep_graph", compute)
 
     def arrays(self) -> "SetGraphArrays":
-        """The CSR lowering of :meth:`dep_graph` (memoized)."""
+        """The CSR set graph of :meth:`dep_graph` (memoized)."""
 
         def compute() -> "SetGraphArrays":
             from ..core.kernels import set_graph_arrays

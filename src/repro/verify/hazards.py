@@ -71,7 +71,7 @@ def _summarize(
 
 @dataclass
 class HazardTable:
-    """Schedule columns aligned with a :class:`SetGraphArrays` lowering.
+    """Schedule columns aligned with a :class:`SetGraphArrays` set graph.
 
     ``start``/``end`` are flat ``(batch * n,)`` arrays indexed by
     ``slot = image * n + gid``; ``row_gid``/``row_image`` map each

@@ -1,14 +1,20 @@
 """Tests for Stage II dependency determination."""
 
+import numpy as np
+import pytest
+
 from repro.core import (
+    FINEST,
     SetGranularity,
+    SetGrid,
     determine_dependencies,
     determine_sets,
     layer_level_dependencies,
     trace_to_base,
 )
 from repro.frontend import preprocess
-from repro.ir import GraphBuilder, Rect
+from repro.ir import Bounds, GraphBuilder, Rect
+from repro.models import MODELS
 
 
 def two_conv_with_pool():
@@ -143,46 +149,71 @@ class TestLayerLevelDependencies:
         assert multi
 
 
-class TestRectIndex:
-    """The interval index must agree exactly with the all-pairs scan."""
+def grid_hits(grid, region):
+    """Set indices the grid lookup finds for one region."""
+    columns = Bounds(*(np.array([v]) for v in (region.r0, region.c0, region.r1, region.c1)))
+    _, index = grid.hits(columns, columns.nonempty())
+    return index.tolist()
 
-    def brute_force(self, rects, region):
-        return [(i, r) for i, r in enumerate(rects) if r.intersects(region)]
+
+def scan_hits(rects, region):
+    """The reference's all-pairs scan: every intersecting set index."""
+    return [i for i, rect in enumerate(rects) if rect.intersects(region)]
+
+
+def grid_of(rects):
+    return SetGrid.of(np.array([(r.r0, r.c0, r.r1, r.c1) for r in rects], dtype=np.int64))
+
+
+def assert_same_csr(graph, sets):
+    """Array pass and reference walk agree array for array."""
+    fast = determine_dependencies(graph, sets).arrays
+    slow = determine_dependencies(graph, sets, use_index=False).arrays
+    np.testing.assert_array_equal(fast.indptr, slow.indptr)
+    np.testing.assert_array_equal(fast.indices, slow.indices)
+
+
+class TestRectIndex:
+    """The row-major grid lookup that replaced the interval index, and
+    the routing of non-grid sets to the reference walk."""
 
     def test_stripe_sets(self):
-        from repro.core import RectIndex
-
         rects = [Rect(r, 0, r + 1, 16) for r in range(32)]
-        index = RectIndex(rects)
+        grid = grid_of(rects)
         for region in (Rect(0, 0, 1, 16), Rect(5, 3, 9, 12),
                        Rect(31, 0, 32, 16), Rect(0, 0, 32, 16)):
-            assert index.query(region) == self.brute_force(rects, region)
+            assert grid_hits(grid, region) == scan_hits(rects, region)
 
     def test_empty_region(self):
-        from repro.core import RectIndex
-
-        index = RectIndex([Rect(0, 0, 4, 4)])
-        assert index.query(Rect(2, 2, 2, 2)) == []
+        grid = grid_of([Rect(0, 0, 4, 4)])
+        assert grid_hits(grid, Rect(2, 2, 2, 2)) == []
 
     def test_random_rect_soup(self):
-        """Correct for arbitrary (even overlapping, ragged) rect lists."""
+        """Ragged or overlapping rect lists are never taken for a grid;
+        random grids answer every region like the all-pairs scan."""
         import random
-
-        from repro.core import RectIndex
 
         rng = random.Random(1234)
         for _ in range(20):
-            rects = [
+            soup = [
                 Rect(r0, c0, r0 + rng.randint(1, 7), c0 + rng.randint(1, 7))
                 for r0, c0 in (
                     (rng.randint(0, 40), rng.randint(0, 40)) for _ in range(60)
                 )
             ]
-            index = RectIndex(rects)
+            assert grid_of(soup) is None
+            rows = sorted(rng.sample(range(41), rng.randint(2, 8)))
+            cols = sorted(rng.sample(range(41), rng.randint(2, 8)))
+            rects = [
+                Rect(r0, c0, r1, c1)
+                for r0, r1 in zip(rows, rows[1:])
+                for c0, c1 in zip(cols, cols[1:])
+            ]
+            grid = grid_of(rects)
             for _ in range(50):
-                r0, c0 = rng.randint(0, 45), rng.randint(0, 45)
-                region = Rect(r0, c0, r0 + rng.randint(1, 10), c0 + rng.randint(1, 10))
-                assert index.query(region) == self.brute_force(rects, region)
+                r0, c0 = rng.randint(-5, 45), rng.randint(-5, 45)
+                region = Rect(r0, c0, r0 + rng.randint(0, 10), c0 + rng.randint(0, 10))
+                assert grid_hits(grid, region) == scan_hits(rects, region)
 
     def test_indexed_and_naive_stage2_agree(self):
         from repro.models import tiny_dual_head
@@ -192,6 +223,7 @@ class TestRectIndex:
         fast = determine_dependencies(canonical, sets, use_index=True)
         slow = determine_dependencies(canonical, sets, use_index=False)
         assert fast.deps == slow.deps
+        assert list(fast.deps.items()) == list(slow.deps.items())
 
     def test_indexed_and_naive_agree_at_coarse_granularity(self):
         g = two_conv_with_pool()
@@ -199,42 +231,162 @@ class TestRectIndex:
         fast = determine_dependencies(g, sets, use_index=True)
         slow = determine_dependencies(g, sets, use_index=False)
         assert fast.deps == slow.deps
+        assert_same_csr(g, sets)
 
-    def test_empty_rects_excluded_like_naive_scan(self):
-        from repro.core import RectIndex
-
-        rects = [Rect(0, 0, 2, 4), Rect(2, 0, 2, 5), Rect(2, 0, 4, 4)]
-        index = RectIndex(rects)
-        region = Rect(0, 0, 10, 10)
-        assert index.query(region) == self.brute_force(rects, region)
-        assert all(not r.is_empty() for _, r in index.query(region))
+    def test_empty_rects_excluded_like_naive_scan(self, monkeypatch):
+        """Sets with an empty rect are not a grid: Stage II takes the
+        reference walk, where empty rects intersect nothing."""
+        g = two_conv_with_pool()
+        sets = determine_sets(g)
+        sets["c1"] = [Rect(0, 0, 2, 8), Rect(2, 0, 2, 8), Rect(2, 0, 8, 8)]
+        assert grid_of(sets["c1"]) is None
+        walked = count_reference_walks(monkeypatch)
+        deps = determine_dependencies(g, sets)
+        assert walked
+        assert all(ref != ("c1", 1) for preds in deps.deps.values() for ref in preds)
+        assert deps.predecessors("c2", 0) == [("c1", 0)]
 
     def test_row_major_entry_order_skips_query_sort(self):
-        """Stage I emits row-major sets: (r0, c0) order *is* index order,
-        so the fast path (no per-query sort) must still return hits
-        sorted by set index, pinned against the naive scan."""
-        from repro.core import RectIndex
+        """Stage I emits row-major sets, so grid hits come back in
+        ascending set order, pinned against the all-pairs scan."""
         from repro.core.sets import partition_ofm
         from repro.ir import Shape
 
-        rects = partition_ofm(Shape(16, 8, 3))  # row-major stripes
-        index = RectIndex(rects)
-        assert index._presorted
-        for region in (Rect(0, 0, 3, 8), Rect(5, 2, 11, 7), Rect(0, 0, 16, 8)):
-            hits = index.query(region)
-            assert hits == self.brute_force(rects, region)
-            assert [i for i, _ in hits] == sorted(i for i, _ in hits)
+        for granularity in (FINEST, SetGranularity(rows_per_set=None, target_sets=6)):
+            rects = partition_ofm(Shape(16, 8, 3), granularity)
+            grid = grid_of(rects)
+            assert grid is not None
+            for region in (Rect(0, 0, 3, 8), Rect(5, 2, 11, 7), Rect(0, 0, 16, 8)):
+                hits = grid_hits(grid, region)
+                assert hits == scan_hits(rects, region)
+                assert hits == sorted(hits)
 
-    def test_shuffled_entry_order_still_sorts_by_index(self):
-        """When (r0, c0) order disagrees with set order the final sort
-        is kept, so query order matches the naive scan exactly."""
+    def test_shuffled_entry_order_still_sorts_by_index(self, monkeypatch):
+        """Shuffled sets are no row-major grid: Stage II routes them to
+        the reference walk, whose edges follow set-index order."""
         import random
 
-        from repro.core import RectIndex
+        g = two_conv_with_pool()
+        sets = determine_sets(g)
+        random.Random(7).shuffle(sets["c1"])
+        assert grid_of(sets["c1"]) is None
+        walked = count_reference_walks(monkeypatch)
+        deps = determine_dependencies(g, sets)
+        assert walked
+        for refs in deps.deps.values():
+            assert refs == sorted(refs)
+        assert deps == determine_dependencies(g, sets, use_index=False)
 
-        rects = [Rect(r, 0, r + 1, 8) for r in range(12)]
-        random.Random(7).shuffle(rects)
-        index = RectIndex(rects)
-        assert not index._presorted
-        region = Rect(2, 0, 9, 8)
-        assert index.query(region) == self.brute_force(rects, region)
+
+def count_reference_walks(monkeypatch):
+    """Record every per-set reference walk Stage II makes."""
+    from repro.core import dependencies
+
+    walked = []
+    original = dependencies.set_dependencies
+
+    def counting(*args, **kwargs):
+        walked.append(args[2:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dependencies, "set_dependencies", counting)
+    return walked
+
+
+def mapped_graphs(model):
+    """(canonical, weight-duplicated) graphs of a zoo model at PE_min + 4."""
+    from repro.arch import paper_case_study
+    from repro.core import ScheduleOptions, duplication_stage
+    from repro.mapping import minimum_pe_requirement
+    from repro.models import build
+
+    canonical = preprocess(build(model), quantization=None).graph
+    pes = minimum_pe_requirement(canonical, paper_case_study(1).crossbar)
+    options = ScheduleOptions(mapping="wdup")
+    wdup = duplication_stage(canonical, paper_case_study(pes + 4), options)[1].graph
+    return {"none": canonical, "wdup": wdup}
+
+
+class TestArrayPass:
+    """The array pass writes the reference walk's CSR, edge order included."""
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_zoo_models_at_finest(self, model):
+        for graph in mapped_graphs(model).values():
+            assert_same_csr(graph, determine_sets(graph, FINEST))
+
+    @pytest.mark.parametrize(
+        "granularity",
+        [
+            SetGranularity(rows_per_set=3),
+            SetGranularity(rows_per_set=None, target_sets=16),
+            SetGranularity(rows_per_set=None, target_sets=7, min_cols=3),
+        ],
+        ids=["rows3", "grid16", "grid7-mincols3"],
+    )
+    @pytest.mark.parametrize("model", ["tinyyolov3", "tinyyolov4", "resnet50", "vgg16"])
+    def test_coarse_granularities(self, model, granularity):
+        for graph in mapped_graphs(model).values():
+            assert_same_csr(graph, determine_sets(graph, granularity))
+
+    def test_deps_view_matches_reference_order(self):
+        from repro.models import tiny_csp
+
+        g = preprocess(tiny_csp(), quantization=None).graph
+        sets = determine_sets(g)
+        fast = determine_dependencies(g, sets)
+        slow = determine_dependencies(g, sets, use_index=False)
+        assert list(fast.deps.items()) == list(slow.deps.items())
+        assert fast.edge_count() == slow.edge_count()
+        assert fast.fan_in_stats() == slow.fan_in_stats()
+
+    @pytest.mark.parametrize("granularity", [FINEST, SetGranularity(rows_per_set=None, target_sets=9)])
+    def test_producer_reached_twice_keeps_first_edge(self, granularity):
+        """Two non-base paths into one producer (a pooled skip around a
+        concat) yield each edge once, where the reference first saw it."""
+        b = GraphBuilder("twice")
+        x = b.input((12, 12, 3), name="in")
+        c1 = b.conv2d(x, 4, kernel=1, padding="valid", use_bias=False, name="c1")
+        a = b.relu(c1)
+        pooled = b.upsample(b.maxpool(a, 2), 2)
+        b.conv2d(b.concat([a, pooled]), 4, kernel=3, padding="same", use_bias=False, name="c2")
+        g = b.graph
+        sets = determine_sets(g, granularity)
+        deps = determine_dependencies(g, sets)
+        for refs in deps.deps.values():
+            assert len(refs) == len(set(refs))
+        assert_same_csr(g, sets)
+
+    def test_single_base_layer_has_no_edges(self):
+        b = GraphBuilder("one")
+        x = b.input((6, 6, 3), name="in")
+        b.conv2d(x, 4, kernel=3, padding="same", use_bias=False, name="c1")
+        g = b.graph
+        sets = determine_sets(g)
+        deps = determine_dependencies(g, sets)
+        assert deps.edge_count() == 0
+        np.testing.assert_array_equal(deps.arrays.indptr, np.zeros(7, dtype=np.int64))
+        assert deps.deps == {("c1", i): [] for i in range(6)}
+        assert_same_csr(g, sets)
+
+    def test_custom_region_rule_takes_reference_walk(self, monkeypatch):
+        """An op that overrides only the one-rectangle rule has no array
+        form, so Stage II walks its sets one by one."""
+        from repro.ir import Identity
+
+        class Shifted(Identity):
+            def input_regions(self, out_rect, input_shapes, output_shape):
+                return [out_rect.shift(1, 0).clip(input_shapes[0].height, input_shapes[0].width)]
+
+        b = GraphBuilder("custom")
+        x = b.input((6, 6, 3), name="in")
+        c1 = b.conv2d(x, 4, kernel=1, padding="valid", use_bias=False, name="c1")
+        g = b.graph
+        g.add(Shifted("shift", [c1]))
+        g.add(type(g["c1"])("c2", ["shift"], out_channels=4))
+        sets = determine_sets(g)
+        walked = count_reference_walks(monkeypatch)
+        deps = determine_dependencies(g, sets)
+        assert walked
+        assert deps.predecessors("c2", 0) == [("c1", 1)]
+        assert deps.predecessors("c2", 5) == []

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import CrossbarSpec, paper_case_study
-from repro.core import ScheduleOptions, compile_model
+from repro.core import ScheduleOptions, SetGranularity, compile_model
 from repro.frontend import preprocess
 from repro.ir import Executor, GraphBuilder
 from repro.mapping import minimum_pe_requirement
@@ -153,6 +153,34 @@ def test_property_csr_and_python_engines_identical(model, batch_size):
     for result in (csr, ref):
         replay = simulate(result)
         assert replay.finish_cycles == result.schedule.makespan
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=random_models(),
+    granularity=st.sampled_from(
+        [
+            SetGranularity(),
+            SetGranularity(rows_per_set=3),
+            SetGranularity(rows_per_set=None, target_sets=5),
+        ]
+    ),
+    mapping=st.sampled_from(["none", "wdup"]),
+)
+def test_property_stage2_array_pass_matches_reference(model, granularity, mapping):
+    """Stage II's array pass writes the reference walk's CSR exactly."""
+    from repro.core import determine_dependencies, determine_sets, duplication_stage
+
+    canonical = preprocess(model, quantization=None).graph
+    graph = canonical
+    if mapping == "wdup":
+        arch = paper_case_study(minimum_pe_requirement(canonical, CrossbarSpec()) + 4)
+        graph = duplication_stage(canonical, arch, ScheduleOptions(mapping="wdup"))[1].graph
+    sets = determine_sets(graph, granularity)
+    fast = determine_dependencies(graph, sets).arrays
+    slow = determine_dependencies(graph, sets, use_index=False).arrays
+    np.testing.assert_array_equal(fast.indptr, slow.indptr)
+    np.testing.assert_array_equal(fast.indices, slow.indices)
 
 
 @settings(max_examples=15, deadline=None)

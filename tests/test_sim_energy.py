@@ -64,6 +64,33 @@ class TestEnergyModel:
         double = estimate_energy(compiled, EnergyModelConfig(mvm_energy_nj=80.0))
         assert double.mvm_uj == pytest.approx(2 * base.mvm_uj)
 
+    @pytest.mark.parametrize("model", ["tiny_dual_head", "tinyyolov4"])
+    def test_noc_term_bit_identical_to_per_edge_sum(self, model):
+        """The CSR NoC term equals adding every edge's energy in turn."""
+        from repro.models import build
+
+        g = preprocess(build(model), quantization=None).graph
+        arch = paper_case_study(minimum_pe_requirement(g, CrossbarSpec()) + 8)
+        compiled = compile_model(
+            g, arch, ScheduleOptions(mapping="wdup"), assume_canonical=True
+        )
+        config = EnergyModelConfig()
+        noc = arch.build_noc()
+        shapes = compiled.mapped.infer_shapes()
+        sets = compiled.dependencies.sets
+        home = {layer: compiled.placement.tiles_of(layer)[0] for layer in sets}
+        expected = 0.0
+        for (layer, _), preds in compiled.dependencies.deps.items():
+            for pred_layer, pred_index in preds:
+                payload = (
+                    sets[pred_layer][pred_index].area
+                    * shapes[pred_layer].channels
+                    * config.bytes_per_element
+                )
+                hops = noc.hops(home[pred_layer], home[layer])
+                expected += config.noc_energy_nj_per_byte_hop * payload * hops
+        assert estimate_energy(compiled, config).noc_uj == expected / 1e3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EnergyModelConfig(mvm_energy_nj=-1)

@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.arch import paper_case_study
-from repro.core import ScheduleOptions
+from repro.core import ScheduleOptions, determine_dependencies, determine_sets
 from repro.core.cache import CompilationCache, graph_fingerprint
 from repro.core.pipeline import compile_model
 from repro.frontend import preprocess
@@ -186,6 +187,67 @@ class TestIntegrity:
         assert cache.misses == 1  # recompiled, not crashed
         hit, _ = store.get("preprocess", key)
         assert hit  # write-through republished a good entry
+
+
+class TestDepsCodec:
+    """The ``deps`` codec stores the CSR set graph and checks it on read."""
+
+    @pytest.fixture
+    def deps(self, canonical):
+        return determine_dependencies(canonical, determine_sets(canonical))
+
+    def _path(self, store, key):
+        return store._entry_path(key_digest(key, codec_for("deps").version))
+
+    def test_round_trip_keeps_edges_in_order(self, store, deps):
+        key = ("deps", "round-trip")
+        assert store.put("deps", key, deps)
+        hit, value = ArtifactStore(store.root).get("deps", key)
+        assert hit
+        np.testing.assert_array_equal(value.arrays.indptr, deps.arrays.indptr)
+        np.testing.assert_array_equal(value.arrays.indices, deps.arrays.indices)
+        assert list(value.deps.items()) == list(deps.deps.items())
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["indptr-not-monotone", "indptr-wrong-length", "index-out-of-range", "set-counts"],
+    )
+    def test_bad_csr_with_valid_digest_quarantined(self, store, deps, damage):
+        from repro.store.codecs import _pack, _unpack
+        from repro.store.disk import _payload_sha256
+
+        key = ("deps", damage)
+        store.put("deps", key, deps)
+        path = self._path(store, key)
+        with open(path) as handle:
+            record = json.load(handle)
+        payload = record["payload"]
+        indptr = _unpack(payload["indptr"]).copy()
+        indices = _unpack(payload["indices"]).copy()
+        if damage == "indptr-not-monotone":
+            assert indptr[2] < indptr[-1]
+            indptr[1] = indptr[-1]
+        elif damage == "indptr-wrong-length":
+            indptr = indptr[:-1]
+        elif damage == "index-out-of-range":
+            indices[0] = deps.num_sets()
+        else:
+            payload["counts"][0] += 1
+        payload["indptr"] = _pack(indptr)
+        payload["indices"] = _pack(indices)
+        record["sha256"] = _payload_sha256(payload)
+        with open(path, "w") as handle:
+            json.dump(record, handle)
+
+        assert store.get("deps", key) == (False, None)
+        assert store.corrupt == 1
+        assert not os.path.exists(path)
+        assert len(os.listdir(os.path.join(store.root, "quarantine"))) == 1
+        cache = CompilationCache(store=store)
+        assert cache.get_or_compute(key, lambda: deps) is deps  # recomputed
+        hit, value = store.get("deps", key)
+        assert hit
+        np.testing.assert_array_equal(value.arrays.indices, deps.arrays.indices)
 
 
 class TestGC:
