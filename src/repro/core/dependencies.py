@@ -29,13 +29,13 @@ built from the arrays on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..ir.graph import Graph
 from ..ir.ops import Input, Op
-from ..ir.tensor import Bounds, Rect
+from ..ir.tensor import Bounds, Rect, RectColumns
 
 #: A (layer name, set index) pair identifying one scheduling set.
 SetRef = tuple[str, int]
@@ -83,7 +83,7 @@ class SetGraphArrays:
 
     @staticmethod
     def from_csr(
-        sets: dict[str, list[Rect]], indptr: np.ndarray, indices: np.ndarray
+        sets: dict[str, Sequence[Rect]], indptr: np.ndarray, indices: np.ndarray
     ) -> "SetGraphArrays":
         """The set graph of Stage I ``sets`` with edges ``indptr/indices``.
 
@@ -159,19 +159,19 @@ class SetGraphArrays:
 
 
 def _set_columns(
-    sets: dict[str, list[Rect]],
+    sets: dict[str, Sequence[Rect]],
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """``(layers, offsets, coords)``: the gid space of Stage I ``sets``.
 
-    ``coords`` is ``int64[n, 4]`` of ``(r0, c0, r1, c1)`` per gid.
+    ``coords`` is ``int64[n, 4]`` of ``(r0, c0, r1, c1)`` per gid: the
+    layers' :class:`~repro.ir.tensor.RectColumns` concatenated, with
+    columns built per ``Rect`` only for hand-built lists.
     """
     layers = tuple(sets)
-    counts = np.asarray([len(sets[layer]) for layer in layers], dtype=np.int64)
+    columns = [RectColumns.of(sets[layer]).coords for layer in layers]
+    counts = np.asarray([len(layer_coords) for layer_coords in columns], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    coords = np.asarray(
-        [(rect.r0, rect.c0, rect.r1, rect.c1) for layer in layers for rect in sets[layer]],
-        dtype=np.int64,
-    ).reshape(int(offsets[-1]), 4)
+    coords = np.concatenate(columns) if columns else np.zeros((0, 4), dtype=np.int64)
     return layers, offsets, coords
 
 
@@ -226,7 +226,7 @@ def _assemble(
     )
 
 
-def _lower(sets: dict[str, list[Rect]], deps: dict[SetRef, list[SetRef]]) -> SetGraphArrays:
+def _lower(sets: dict[str, Sequence[Rect]], deps: dict[SetRef, list[SetRef]]) -> SetGraphArrays:
     """The CSR form of a dict-built dependency graph."""
     layers, offsets, coords = _set_columns(sets)
     base = {layer: int(offsets[lid]) for lid, layer in enumerate(layers)}
@@ -264,7 +264,7 @@ class DependencyGraph:
 
     def __init__(
         self,
-        sets: dict[str, list[Rect]],
+        sets: dict[str, Sequence[Rect]],
         deps: Optional[dict[SetRef, list[SetRef]]] = None,
         arrays: Optional[SetGraphArrays] = None,
     ) -> None:
@@ -352,7 +352,7 @@ def trace_to_base(
 
 def set_dependencies(
     graph: Graph,
-    sets: dict[str, list[Rect]],
+    sets: dict[str, Sequence[Rect]],
     layer: str,
     set_index: int,
     shapes: dict | None = None,
@@ -480,7 +480,7 @@ def _trace_columns(
         _trace_columns(graph, producer, sub, sub_alive, shapes, paths)
 
 
-def _array_pass(graph: Graph, sets: dict[str, list[Rect]]) -> Optional[SetGraphArrays]:
+def _array_pass(graph: Graph, sets: dict[str, Sequence[Rect]]) -> Optional[SetGraphArrays]:
     """Stage II in one array pass per base layer, writing the CSR.
 
     Returns ``None`` when the per-set reference must run instead: the
@@ -551,7 +551,7 @@ def _array_pass(graph: Graph, sets: dict[str, list[Rect]]) -> Optional[SetGraphA
 
 
 def determine_dependencies(
-    graph: Graph, sets: dict[str, list[Rect]], use_index: bool = True
+    graph: Graph, sets: dict[str, Sequence[Rect]], use_index: bool = True
 ) -> DependencyGraph:
     """Stage II: the full set-level dependency graph.
 

@@ -100,7 +100,7 @@ class CompilationContext:
     mapped: Optional[Graph] = None
     mapped_key: Optional[CacheKey] = None
     placement: Optional[Placement] = None
-    sets: Optional[dict[str, list[Rect]]] = None
+    sets: Optional[dict[str, Sequence[Rect]]] = None
     dependencies: Optional[DependencyGraph] = None
     #: The CSR set graph of ``dependencies`` (set by the csr scheduling
     #: engine, reused by batch scheduling / simulation).

@@ -37,7 +37,7 @@ bit-identical results to the Session path (asserted in tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..arch.config import ArchitectureConfig
 from ..frontend.partitioning import is_canonical
@@ -184,7 +184,7 @@ class CompiledModel:
     schedule: Schedule
     duplication: Optional[DuplicationSolution] = None
     rewrite: Optional[RewriteReport] = None
-    sets: dict[str, list[Rect]] = field(default_factory=dict)
+    sets: dict[str, Sequence[Rect]] = field(default_factory=dict)
     dependencies: Optional[DependencyGraph] = None
     #: Wall-clock seconds per executed pass (Session/PassManager runs).
     timings: dict[str, float] = field(default_factory=dict)
@@ -366,7 +366,7 @@ def sets_stage(
     granularity: SetGranularity,
     cache: Optional[CompilationCache] = None,
     mapped_key: Optional[CacheKey] = None,
-) -> dict[str, list[Rect]]:
+) -> dict[str, Sequence[Rect]]:
     """Stage I: determine sets."""
     return _stage_cached(
         cache,
@@ -377,7 +377,7 @@ def sets_stage(
 
 def dependencies_stage(
     mapped: Graph,
-    sets: dict[str, list[Rect]],
+    sets: dict[str, Sequence[Rect]],
     granularity: SetGranularity,
     cache: Optional[CompilationCache] = None,
     mapped_key: Optional[CacheKey] = None,
@@ -392,7 +392,7 @@ def dependencies_stage(
 
 def schedule_stage(
     mapped: Graph,
-    sets: dict[str, list[Rect]],
+    sets: dict[str, Sequence[Rect]],
     dependencies: Optional[DependencyGraph],
     options: ScheduleOptions,
     cache: Optional[CompilationCache] = None,

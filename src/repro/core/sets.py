@@ -2,21 +2,27 @@
 
 Every base layer's OFM is divided into disjoint hyperrectangular
 *sets* — the minimum scheduling units.  Sets are near-equal in size
-(so per-set execution times match), identified by two coordinates
-(we store a :class:`~repro.ir.tensor.Rect`), and should be large enough
-that non-base operations (e.g. pooling windows) can execute; dependency
-propagation (Stage II) keeps correctness for any size, so the size
-floor is a granularity/efficiency knob, not a correctness requirement.
+(so per-set execution times match), identified by two coordinates,
+and should be large enough that non-base operations (e.g. pooling
+windows) can execute; dependency propagation (Stage II) keeps
+correctness for any size, so the size floor is a granularity/efficiency
+knob, not a correctness requirement.
+
+Each layer's sets are one :class:`~repro.ir.tensor.RectColumns`: the
+two corner coordinates of every set as a row of an ``int64[n, 4]``
+array, built with whole-array operations.  Stage II, the store codecs
+and the artifact writer read those columns directly; code that walks
+sets one by one indexes them as :class:`~repro.ir.tensor.Rect`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..ir.graph import Graph
-from ..ir.tensor import Rect, Shape, rect_grid
+from ..ir.tensor import Rect, RectColumns, Shape, rect_grid
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class SetGranularity:
 FINEST = SetGranularity(rows_per_set=1)
 
 
-def partition_ofm(shape: Shape, granularity: SetGranularity = FINEST) -> list[Rect]:
+def partition_ofm(shape: Shape, granularity: SetGranularity = FINEST) -> RectColumns:
     """Partition one OFM into scheduling sets (row-major order).
 
     The returned rectangles are disjoint, cover the full spatial
@@ -79,7 +85,7 @@ def partition_ofm(shape: Shape, granularity: SetGranularity = FINEST) -> list[Re
 
 def determine_sets(
     graph: Graph, granularity: SetGranularity = FINEST
-) -> dict[str, list[Rect]]:
+) -> dict[str, RectColumns]:
     """Stage I: sets of every base layer, keyed by layer name.
 
     Returns row-major ordered rectangles per layer.  Dense layers
@@ -92,7 +98,7 @@ def determine_sets(
     }
 
 
-def validate_partition(shape: Shape, sets: list[Rect]) -> None:
+def validate_partition(shape: Shape, sets: Sequence[Rect]) -> None:
     """Assert the Stage I invariants: disjoint, covering, in-bounds."""
     bounds = shape.full_rect()
     total = 0

@@ -148,15 +148,17 @@ class Graph:
         return dict(shapes)
 
     def shape_of(self, name: str) -> Shape:
-        """Output shape of a single node."""
-        return self.infer_shapes()[name]
+        """Output shape of a single node (read from the shape cache)."""
+        if self._shape_cache is None:
+            self.infer_shapes()
+        return self._shape_cache[name]
 
     def in_channels_of(self, name: str) -> int:
         """Channel count of a single-input node's input tensor."""
         op = self[name]
         if len(op.inputs) != 1:
             raise GraphError(f"'{name}' does not have exactly one input")
-        return self.infer_shapes()[op.inputs[0]].channels
+        return self.shape_of(op.inputs[0]).channels
 
     # ------------------------------------------------------------------
     # Mutation (used by frontend passes and rewrites)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .graph import Graph
 from .ops import OP_TYPES, Op
-from .tensor import Rect, Shape
+from .tensor import Rect, RectColumns, Shape
 
 #: Op attribute names that hold numpy parameter arrays.
 _PARAM_FIELDS = ("weights", "bias", "gamma", "beta", "mean", "variance")
@@ -334,18 +334,12 @@ def schedule_from_dict(record: dict[str, Any]) -> Any:
     )
 
 
-def _sets_to_dict(sets: dict[str, list[Rect]]) -> dict[str, list[list[int]]]:
-    return {
-        layer: [_rect_to_list(rect) for rect in rects]
-        for layer, rects in sets.items()
-    }
+def _sets_to_dict(sets: dict[str, Sequence[Rect]]) -> dict[str, list[list[int]]]:
+    return {layer: RectColumns.of(rects).coords.tolist() for layer, rects in sets.items()}
 
 
-def _sets_from_dict(record: dict[str, Any]) -> dict[str, list[Rect]]:
-    return {
-        layer: [_rect_from_list(rect) for rect in rects]
-        for layer, rects in record.items()
-    }
+def _sets_from_dict(record: dict[str, Any]) -> dict[str, RectColumns]:
+    return {layer: RectColumns(rects) for layer, rects in record.items()}
 
 
 def _duplication_to_dict(solution: Any) -> dict[str, Any]:
@@ -423,7 +417,7 @@ def _dependencies_to_list(dependencies: Any) -> list[list[Any]]:
     ]
 
 
-def _dependencies_from_list(entries: list[Any], sets: dict[str, list[Rect]]) -> Any:
+def _dependencies_from_list(entries: list[Any], sets: dict[str, Sequence[Rect]]) -> Any:
     from ..core.dependencies import DependencyGraph
 
     return DependencyGraph(

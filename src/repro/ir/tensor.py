@@ -2,7 +2,7 @@
 
 The IR models single-sample (batch-free) inference tensors in HWC
 layout, matching the notation of the CLSA-CIM paper (Table I lists
-feature maps as ``(H, W, C)``).  Two geometric primitives live here:
+feature maps as ``(H, W, C)``).  The geometric primitives live here:
 
 ``Shape``
     An immutable ``(height, width, channels)`` descriptor.  Scalar or
@@ -12,6 +12,12 @@ feature maps as ``(H, W, C)``).  Two geometric primitives live here:
     A half-open spatial rectangle ``[r0, r1) x [c0, c1)`` used as the
     *hyperrectangle* of the paper's Stage I/II: scheduling sets and the
     regions propagated between layers are all ``Rect`` instances.
+
+``RectColumns``
+    A sequence of ``Rect`` stored as one ``int64[n, 4]`` coordinate
+    array.  Stage I emits each layer's sets in this form, so the array
+    passes downstream (Stage II, the store, the artifact writer) read
+    the coordinates without building one object per set.
 
 ``Bounds``
     The same four coordinates as plain columns: ints for one rectangle,
@@ -23,7 +29,8 @@ feature maps as ``(H, W, C)``).  Two geometric primitives live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple, Sequence
+from collections.abc import MutableSequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -219,7 +226,83 @@ class Bounds(NamedTuple):
         return (self.r1 > self.r0) & (self.c1 > self.c0)
 
 
-def rect_grid(height: int, width: int, tile_rows: int, tile_cols: int) -> list[Rect]:
+class RectColumns(MutableSequence):
+    """Rectangles as the rows ``(r0, c0, r1, c1)`` of one int64 array.
+
+    A ``Sequence[Rect]`` over :attr:`coords` (``int64[n, 4]``).  The
+    first element access or iteration builds the ``list[Rect]`` once
+    and keeps it, so per-set code indexes plain rectangles at list
+    speed.  It compares equal to any sequence of equal rectangles and
+    pickles as :attr:`coords` only.
+
+    Any in-place write turns it into that plain list and drops
+    :attr:`coords` (it becomes ``None``); array passes then take their
+    per-``Rect`` path.  :meth:`of` gives the columns of any sequence.
+    """
+
+    __slots__ = ("coords", "_rects")
+
+    def __init__(self, coords: Any) -> None:
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.size == 0:
+            coords = coords.reshape(0, 4)
+        if coords.ndim != 2 or coords.shape[1] != 4:
+            raise ValueError(f"rectangle coordinates must be [n, 4], got {coords.shape}")
+        self.coords: Optional[np.ndarray] = coords
+        self._rects: Optional[list[Rect]] = None
+
+    @staticmethod
+    def of(rects: Sequence[Rect]) -> "RectColumns":
+        """``rects`` itself when it holds columns, else its columns built per Rect."""
+        if isinstance(rects, RectColumns) and rects.coords is not None:
+            return rects
+        return RectColumns([(rect.r0, rect.c0, rect.r1, rect.c1) for rect in rects])
+
+    @property
+    def rects(self) -> list[Rect]:
+        """The rectangles as a list (built on first use, then kept)."""
+        if self._rects is None:
+            self._rects = [Rect(*row) for row in self.coords.tolist()]
+        return self._rects
+
+    def __len__(self) -> int:
+        return len(self._rects) if self.coords is None else len(self.coords)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self.rects[index]
+
+    def __iter__(self) -> Iterator[Rect]:
+        return iter(self.rects)
+
+    def __setitem__(self, index: Any, value: Any) -> None:
+        self.rects[index] = value
+        self.coords = None
+
+    def __delitem__(self, index: Any) -> None:
+        del self.rects[index]
+        self.coords = None
+
+    def insert(self, index: int, value: Rect) -> None:
+        self.rects.insert(index, value)
+        self.coords = None
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RectColumns) and self.coords is not None and other.coords is not None:
+            return np.array_equal(self.coords, other.coords)
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return self.rects == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple:
+        return (RectColumns, (RectColumns.of(self).coords,))
+
+    def __repr__(self) -> str:
+        return f"RectColumns({self.rects!r})"
+
+
+def rect_grid(height: int, width: int, tile_rows: int, tile_cols: int) -> RectColumns:
     """Tile an ``height x width`` map into a grid of rectangles.
 
     Tiles are at most ``tile_rows x tile_cols``; border tiles shrink to
@@ -231,11 +314,14 @@ def rect_grid(height: int, width: int, tile_rows: int, tile_cols: int) -> list[R
         raise ValueError(f"map dimensions must be positive, got {height}x{width}")
     if tile_rows < 1 or tile_cols < 1:
         raise ValueError(f"tile dimensions must be positive, got {tile_rows}x{tile_cols}")
-    tiles = []
-    for r0 in range(0, height, tile_rows):
-        for c0 in range(0, width, tile_cols):
-            tiles.append(Rect(r0, c0, min(r0 + tile_rows, height), min(c0 + tile_cols, width)))
-    return tiles
+    rows = np.arange(0, height, tile_rows, dtype=np.int64)
+    cols = np.arange(0, width, tile_cols, dtype=np.int64)
+    coords = np.empty((len(rows), len(cols), 4), dtype=np.int64)
+    coords[..., 0] = rows[:, None]
+    coords[..., 1] = cols
+    coords[..., 2] = np.minimum(rows + tile_rows, height)[:, None]
+    coords[..., 3] = np.minimum(cols + tile_cols, width)
+    return RectColumns(coords.reshape(-1, 4))
 
 
 def split_extent(extent: int, parts: int) -> list[tuple[int, int]]:

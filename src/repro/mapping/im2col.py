@@ -12,6 +12,7 @@ validate against direct convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..ir.graph import Graph
 from ..ir.ops import Conv2D, Dense
@@ -57,10 +58,17 @@ class GemmLowering:
         return self.weight_elements * self.num_mvms
 
 
-def lower_layer(graph: Graph, layer_name: str) -> GemmLowering:
-    """Compute the GEMM lowering of one base layer."""
+def lower_layer(
+    graph: Graph, layer_name: str, shapes: Optional[dict[str, Shape]] = None
+) -> GemmLowering:
+    """Compute the GEMM lowering of one base layer.
+
+    ``shapes`` may pass ``graph.infer_shapes()`` in when lowering many
+    layers of one graph.
+    """
     op = graph[layer_name]
-    shapes = graph.infer_shapes()
+    if shapes is None:
+        shapes = graph.infer_shapes()
     out_shape = shapes[layer_name]
     if isinstance(op, Conv2D):
         in_channels = shapes[op.inputs[0]].channels
@@ -83,4 +91,5 @@ def lower_layer(graph: Graph, layer_name: str) -> GemmLowering:
 
 def lower_graph(graph: Graph) -> dict[str, GemmLowering]:
     """GEMM lowerings of every base layer, keyed by layer name."""
-    return {name: lower_layer(graph, name) for name in graph.base_layers()}
+    shapes = graph.infer_shapes()
+    return {name: lower_layer(graph, name, shapes) for name in graph.base_layers()}

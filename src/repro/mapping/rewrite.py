@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..ir.graph import Graph, GraphError
 from ..ir.ops import ConcatSpatial, Conv2D, Slice
-from ..ir.tensor import split_extent
+from ..ir.tensor import Shape, split_extent
 from .duplication import DuplicationSolution
 
 
@@ -69,9 +69,18 @@ class RewriteReport:
 
 
 def _duplicate_one(
-    graph: Graph, layer_name: str, factor: int, entry: DuplicatedLayer
+    graph: Graph,
+    layer_name: str,
+    factor: int,
+    entry: DuplicatedLayer,
+    shapes: dict[str, Shape],
 ) -> None:
-    """Rewrite a single conv layer into ``factor`` spatial-slab duplicates."""
+    """Rewrite a single conv layer into ``factor`` spatial-slab duplicates.
+
+    ``shapes`` holds the output shape of every node the rewrite reads
+    (the layer and its producer); the new concat's shape is recorded in
+    it, so later rewrites need no fresh shape inference.
+    """
     op = graph[layer_name]
     if not isinstance(op, Conv2D):
         raise RewriteError(
@@ -82,7 +91,6 @@ def _duplicate_one(
             f"'{layer_name}' must be canonical (valid padding) before duplication; "
             "run repro.frontend.preprocess first"
         )
-    shapes = graph.infer_shapes()
     out_shape = shapes[layer_name]
     in_shape = shapes[op.inputs[0]]
     along_width = entry.axis == "width"
@@ -134,6 +142,7 @@ def _duplicate_one(
     for consumer in consumers:
         graph.replace_input(consumer, layer_name, concat_name)
     graph.remove(layer_name)
+    shapes[concat_name] = out_shape
     entry.duplicates = duplicate_names
     entry.concat = concat_name
 
@@ -159,6 +168,7 @@ def apply_duplication(
         raise RewriteError(f"axis must be 'width' or 'height', got {axis!r}")
     rewritten = graph.copy(f"{graph.name}_wdup")
     report = RewriteReport(graph=rewritten)
+    shapes = graph.infer_shapes()
     for layer_name, factor in solution.d.items():
         if layer_name not in rewritten:
             raise RewriteError(f"solution references unknown layer '{layer_name}'")
@@ -167,7 +177,7 @@ def apply_duplication(
         if factor == 1:
             continue
         entry = DuplicatedLayer(original=layer_name, axis=axis)
-        _duplicate_one(rewritten, layer_name, factor, entry)
+        _duplicate_one(rewritten, layer_name, factor, entry, shapes)
         report.duplicated[layer_name] = entry
     try:
         rewritten.topological_order()

@@ -1,11 +1,15 @@
 """Tests for Stage I set partitioning."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import FINEST, SetGranularity, determine_sets, partition_ofm, validate_partition
-from repro.ir import GraphBuilder, Shape
+from repro.frontend import preprocess
+from repro.ir import GraphBuilder, Rect, RectColumns, Shape
+from repro.models import MODELS, build
 
 
 class TestGranularityConfig:
@@ -140,3 +144,45 @@ class TestValidatePartition:
 
         with pytest.raises(AssertionError, match="empty"):
             validate_partition(Shape(2, 2, 1), [Rect(0, 0, 0, 0), Rect(0, 0, 2, 2)])
+
+
+def rect_grid_loop(height, width, tile_rows, tile_cols):
+    """Stage I's former per-Rect tiling loop, kept as the oracle."""
+    tiles = []
+    for r0 in range(0, height, tile_rows):
+        for c0 in range(0, width, tile_cols):
+            tiles.append(Rect(r0, c0, min(r0 + tile_rows, height), min(c0 + tile_cols, width)))
+    return tiles
+
+
+@functools.lru_cache(maxsize=None)
+def canonical(model):
+    return preprocess(build(model), quantization=None).graph
+
+
+class TestColumnarSets:
+    """``determine_sets`` builds coordinate columns equal to the per-Rect loop."""
+
+    @pytest.mark.parametrize(
+        "granularity",
+        [
+            SetGranularity(rows_per_set=1),
+            SetGranularity(rows_per_set=3),
+            SetGranularity(rows_per_set=None, target_sets=16),
+            SetGranularity(rows_per_set=None, target_sets=7, min_cols=3),
+        ],
+        ids=["rows1", "rows3", "grid16", "grid7-mincols3"],
+    )
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_zoo_matches_per_rect_loop(self, model, granularity, monkeypatch):
+        from repro.core import sets as stage_one
+
+        graph = canonical(model)
+        columns = determine_sets(graph, granularity)
+        monkeypatch.setattr(stage_one, "rect_grid", rect_grid_loop)
+        oracle = determine_sets(graph, granularity)
+        assert list(columns) == list(oracle)
+        for layer, rects in oracle.items():
+            assert isinstance(columns[layer], RectColumns)
+            assert columns[layer].coords.tolist() == [[r.r0, r.c0, r.r1, r.c1] for r in rects]
+            assert columns[layer] == rects

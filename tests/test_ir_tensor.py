@@ -1,10 +1,13 @@
 """Unit tests for repro.ir.tensor: Shape, Rect and tiling helpers."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ir import Rect, Shape, rect_grid, split_extent
+from repro.ir import Rect, RectColumns, Shape, rect_grid, split_extent
 
 
 class TestShape:
@@ -140,11 +143,110 @@ class TestRectGrid:
     def test_property_partition(self, height, width, tile_rows, tile_cols):
         """Tiles are disjoint and cover the full map exactly."""
         tiles = rect_grid(height, width, tile_rows, tile_cols)
+        assert tiles == grid_rects(height, width, tile_rows, tile_cols)
         assert sum(t.area for t in tiles) == height * width
         for i, a in enumerate(tiles):
             assert not a.is_empty()
             for b in tiles[i + 1 :]:
                 assert not a.intersects(b)
+
+
+def grid_rects(height, width, tile_rows, tile_cols):
+    return [
+        Rect(r0, c0, min(r0 + tile_rows, height), min(c0 + tile_cols, width))
+        for r0 in range(0, height, tile_rows)
+        for c0 in range(0, width, tile_cols)
+    ]
+
+
+class TestRectColumns:
+    def test_sequence_protocol(self):
+        rects = grid_rects(5, 7, 2, 3)
+        columns = rect_grid(5, 7, 2, 3)
+        assert isinstance(columns, RectColumns)
+        assert len(columns) == len(rects) == 9
+        assert columns[0] == rects[0]
+        assert columns[-1] == rects[-1] == Rect(4, 6, 5, 7)
+        assert columns[2:5] == rects[2:5]
+        assert columns[::-1] == rects[::-1]
+        assert list(iter(columns)) == rects
+        assert rects[4] in columns
+        assert columns.index(rects[4]) == 4
+        with pytest.raises(IndexError):
+            columns[9]
+
+    def test_element_access_builds_the_list_once(self):
+        columns = rect_grid(4, 4, 1, 4)
+        assert columns._rects is None
+        first = columns[0]
+        assert columns[0] is first
+        assert list(columns)[0] is first
+
+    def test_equality_in_both_directions(self):
+        rects = grid_rects(6, 5, 2, 2)
+        columns = rect_grid(6, 5, 2, 2)
+        assert columns == rects and rects == columns
+        assert columns == tuple(rects) and tuple(rects) == columns
+        assert columns == RectColumns.of(rects)
+        assert not (columns != rects) and not (rects != columns)
+        shorter = rects[:-1]
+        assert columns != shorter and shorter != columns
+        moved = rects[:-1] + [Rect(0, 0, 1, 1)]
+        assert columns != moved and moved != columns
+        assert columns != rect_grid(6, 5, 3, 2)
+        assert columns != 7
+        assert RectColumns([]) == [] and [] == RectColumns([])
+
+    def test_pickle_ships_coords_only(self):
+        fresh = rect_grid(9, 8, 1, 8)
+        used = rect_grid(9, 8, 1, 8)
+        list(used)  # builds and keeps the Rect list
+        assert used._rects is not None
+        assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone._rects is None
+        np.testing.assert_array_equal(clone.coords, used.coords)
+        assert clone == used
+
+    def test_write_turns_it_into_a_list(self):
+        rects = grid_rects(4, 6, 1, 3)
+        columns = rect_grid(4, 6, 1, 3)
+        columns[0] = Rect(0, 0, 1, 1)
+        assert columns.coords is None
+        rects[0] = Rect(0, 0, 1, 1)
+        assert columns == rects
+        columns.append(Rect(9, 9, 10, 10))
+        del columns[1]
+        rects.append(Rect(9, 9, 10, 10))
+        del rects[1]
+        assert columns == rects and len(columns) == len(rects)
+        assert RectColumns.of(columns).coords.tolist() == [
+            [r.r0, r.c0, r.r1, r.c1] for r in rects
+        ]
+        assert pickle.loads(pickle.dumps(columns)) == rects
+
+    def test_shuffle_in_place(self):
+        import random
+
+        columns = rect_grid(8, 2, 1, 2)
+        rects = list(columns)
+        random.Random(3).shuffle(columns)
+        assert columns.coords is None
+        assert sorted(columns) == sorted(rects)
+        assert columns != rects
+
+    def test_of_keeps_columns_and_builds_lists(self):
+        columns = rect_grid(3, 3, 1, 3)
+        assert RectColumns.of(columns) is columns
+        built = RectColumns.of(grid_rects(3, 3, 1, 3))
+        np.testing.assert_array_equal(built.coords, columns.coords)
+        assert RectColumns.of([]).coords.shape == (0, 4)
+
+    def test_rejects_bad_coordinate_shape(self):
+        with pytest.raises(ValueError, match=r"\[n, 4\]"):
+            RectColumns(np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(ValueError):
+            RectColumns([1, 2, 3, 4])
 
 
 class TestSplitExtent:

@@ -12,6 +12,7 @@ from repro.core.cache import CompilationCache, graph_fingerprint
 from repro.core.pipeline import compile_model
 from repro.frontend import preprocess
 from repro.models import tiny_sequential
+from repro.ir import RectColumns
 from repro.store import ArtifactStore, codec_for
 from repro.store.keys import key_digest
 
@@ -248,6 +249,166 @@ class TestDepsCodec:
         hit, value = store.get("deps", key)
         assert hit
         np.testing.assert_array_equal(value.arrays.indices, deps.arrays.indices)
+
+
+def _rewrite_payload(store, stage, key, damage_payload):
+    """Damage the stored payload of ``key`` but keep its sha256 valid."""
+    from repro.store.disk import _payload_sha256
+
+    path = store._entry_path(key_digest(key, codec_for(stage).version))
+    with open(path) as handle:
+        record = json.load(handle)
+    damage_payload(record["payload"])
+    record["sha256"] = _payload_sha256(record["payload"])
+    with open(path, "w") as handle:
+        json.dump(record, handle)
+    return path
+
+
+def _assert_quarantined_and_recomputed(store, stage, key, path, value, same):
+    assert store.get(stage, key) == (False, None)
+    assert store.corrupt == 1
+    assert not os.path.exists(path)
+    assert len(os.listdir(os.path.join(store.root, "quarantine"))) == 1
+    cache = CompilationCache(store=store)
+    assert cache.get_or_compute(key, lambda: value) is value  # recomputed
+    hit, reread = store.get(stage, key)
+    assert hit and same(reread, value)
+
+
+class TestSetsCodec:
+    """The ``sets`` codec stores packed coordinate columns and checks them on read."""
+
+    @pytest.fixture
+    def sets(self, canonical):
+        return determine_sets(canonical)
+
+    def test_round_trip_gives_columns(self, store, sets):
+        key = ("sets", "round-trip")
+        assert store.put("sets", key, sets)
+        hit, value = ArtifactStore(store.root).get("sets", key)
+        assert hit
+        assert list(value) == list(sets)
+        for layer, rects in sets.items():
+            assert isinstance(value[layer], RectColumns)
+            np.testing.assert_array_equal(value[layer].coords, rects.coords)
+            assert value[layer] == rects
+
+    def test_hand_built_lists_round_trip(self, store, sets):
+        key = ("sets", "lists")
+        plain = {layer: list(rects) for layer, rects in sets.items()}
+        assert store.put("sets", key, plain)
+        hit, value = store.get("sets", key)
+        assert hit and value == plain
+
+    @pytest.mark.parametrize(
+        "damage", ["set-counts", "truncated-base64", "column-length", "duplicate-layer"]
+    )
+    def test_bad_payload_with_valid_digest_quarantined(self, store, sets, damage):
+        from repro.store.codecs import _pack, _unpack
+
+        def damage_payload(payload):
+            if damage == "set-counts":
+                payload["counts"][0] += 1
+            elif damage == "truncated-base64":
+                payload["rects"] = payload["rects"][:-2]
+            elif damage == "column-length":
+                payload["rects"] = _pack(_unpack(payload["rects"])[:-1])
+            else:
+                payload["layers"][1] = payload["layers"][0]
+
+        key = ("sets", damage)
+        store.put("sets", key, sets)
+        path = _rewrite_payload(store, "sets", key, damage_payload)
+        _assert_quarantined_and_recomputed(
+            store, "sets", key, path, sets, lambda got, want: got == want
+        )
+
+
+class TestScheduleCodec:
+    """Columnar schedules are stored as packed columns; row form keeps JSON."""
+
+    @pytest.fixture
+    def compiled(self, canonical):
+        return compile_model(
+            canonical, paper_case_study(40), ScheduleOptions(), assume_canonical=True
+        )
+
+    @staticmethod
+    def same(got, want):
+        from repro.ir.serialize import schedule_to_dict
+
+        return schedule_to_dict(got) == schedule_to_dict(want)
+
+    def test_columnar_round_trip(self, store, compiled):
+        schedule = compiled.schedule
+        assert schedule.has_columns
+        key = ("schedule", "columns")
+        assert store.put("schedule", key, schedule)
+        with open(store._entry_path(key_digest(key, codec_for("schedule").version))) as handle:
+            payload = json.load(handle)["payload"]
+        assert set(payload) == {"policy", "layers", "columns"}
+        hit, value = ArtifactStore(store.root).get("schedule", key)
+        assert hit and value.has_columns
+        assert self.same(value, schedule)
+        assert value.columns().start.dtype == np.int64
+        assert value.columns().layer_id.dtype == np.int32
+
+    def test_row_form_round_trip(self, store, canonical):
+        schedule = compile_model(
+            canonical,
+            paper_case_study(40),
+            ScheduleOptions(scheduling="layer-by-layer"),
+            assume_canonical=True,
+        ).schedule
+        assert not schedule.has_columns
+        key = ("schedule", "rows")
+        assert store.put("schedule", key, schedule)
+        hit, value = store.get("schedule", key)
+        assert hit and not value.has_columns
+        assert value.tasks == schedule.tasks
+
+    @pytest.mark.parametrize(
+        "damage", ["layer-count", "truncated-base64", "column-length"]
+    )
+    def test_bad_payload_with_valid_digest_quarantined(self, store, compiled, damage):
+        from repro.store.codecs import _pack, _unpack
+
+        def damage_payload(payload):
+            columns = payload["columns"]
+            if damage == "layer-count":
+                payload["layers"].pop()
+            elif damage == "truncated-base64":
+                columns["end"] = columns["end"][:-2]
+            else:
+                columns["set_index"] = _pack(_unpack(columns["set_index"])[:-1])
+
+        key = ("schedule", damage)
+        store.put("schedule", key, compiled.schedule)
+        path = _rewrite_payload(store, "schedule", key, damage_payload)
+        _assert_quarantined_and_recomputed(
+            store, "schedule", key, path, compiled.schedule, self.same
+        )
+
+
+class TestWarmArtifactIdentity:
+    def test_warm_store_compile_matches_cold_byte_for_byte(self, tmp_path):
+        """A compile served wholly from the store writes the cold artifact."""
+        from repro import Session
+        from repro.mapping import minimum_pe_requirement
+        from repro.models import build
+
+        graph = preprocess(build("tinyyolov4"), quantization=None).graph
+        arch = paper_case_study(minimum_pe_requirement(graph, paper_case_study(1).crossbar) + 16)
+        path = str(tmp_path / "store")
+        cold = Session(arch, store_path=path).compile(graph, assume_canonical=True)
+        session = Session(arch, store_path=path)
+        warm = session.compile(graph, assume_canonical=True)
+        assert session.cache.misses == 0
+        for compiled in (cold, warm):
+            compiled.timings.clear()
+            compiled.diagnostics.clear()
+        assert warm.to_json() == cold.to_json()
 
 
 class TestGC:
